@@ -205,7 +205,7 @@ explorer daemon:
     .to_owned()
 }
 
-fn net_by_name(name: &str) -> Result<Network, Box<dyn Error>> {
+fn net_by_name(name: &str) -> Result<&'static Network, Box<dyn Error>> {
     chain_nn_dse::network_by_name(name)
         .ok_or_else(|| format!("unknown network '{name}' (try `chain-nn nets`)").into())
 }
@@ -1117,7 +1117,7 @@ fn perf_cmd(flags: &Flags) -> CmdResult {
         "strict" => CycleModel::Strict,
         _ => CycleModel::PaperCalibrated,
     };
-    let perf = PerfModel::new(cfg).network(&net, batch, model)?;
+    let perf = PerfModel::new(cfg).network(net, batch, model)?;
     let mut s = String::new();
     let _ = writeln!(
         s,
@@ -1145,7 +1145,7 @@ fn traffic_cmd(flags: &Flags) -> CmdResult {
     let net = net_by_name(flags.get_str("net").unwrap_or("alexnet"))?;
     let batch = flags.get_or("batch", 4usize)?;
     let cfg = chain_from(flags)?;
-    let rows = TrafficModel::new(cfg, MemoryConfig::paper()).network_traffic(&net, batch)?;
+    let rows = TrafficModel::new(cfg, MemoryConfig::paper()).network_traffic(net, batch)?;
     let mut s = String::new();
     let _ = writeln!(s, "== {} memory traffic, batch {batch} (MB) ==", net.name());
     let _ = writeln!(
@@ -1182,7 +1182,7 @@ fn power_cmd(flags: &Flags) -> CmdResult {
     let net = net_by_name(flags.get_str("net").unwrap_or("alexnet"))?;
     let batch = flags.get_or("batch", 4usize)?;
     let cfg = chain_from(flags)?;
-    let r = PowerModel::new(cfg, MemoryConfig::paper()).network_power(&net, batch)?;
+    let r = PowerModel::new(cfg, MemoryConfig::paper()).network_power(net, batch)?;
     let b = r.breakdown;
     let mut s = String::new();
     let _ = writeln!(s, "== {} power, batch {batch} ==", net.name());

@@ -91,6 +91,40 @@ pub struct NetworkPerf {
     pub gops: f64,
 }
 
+/// Network totals accumulated layer by layer. [`PerfModel::network`]
+/// and the fused model passes built on [`PerfModel::layer`] share this
+/// one operation order, so their fps and GOPS agree bit for bit.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PerfTotals {
+    /// Batch latency so far in milliseconds (conv + loads).
+    pub total_ms: f64,
+    /// Useful MACs per image so far.
+    pub macs: u64,
+}
+
+impl PerfTotals {
+    /// Adds one layer run at `batch` images on a `freq_hz` clock and
+    /// returns its `(conv_ms, load_ms)`. Kernel loads are charged once
+    /// per batch (the paper's amortization argument in §V.B).
+    pub fn add(&mut self, perf: &LayerPerf, batch: usize, freq_hz: f64) -> (f64, f64) {
+        let conv_ms = perf.compute_cycles() * batch as f64 / freq_hz * 1e3;
+        let load_ms = perf.load_cycles as f64 / freq_hz * 1e3;
+        self.total_ms += conv_ms + load_ms;
+        self.macs += perf.macs;
+        (conv_ms, load_ms)
+    }
+
+    /// Frames per second at `batch` images.
+    pub fn fps(&self, batch: usize) -> f64 {
+        batch as f64 / (self.total_ms / 1e3)
+    }
+
+    /// Achieved throughput in GOPS (2 ops per MAC) at `batch` images.
+    pub fn gops(&self, batch: usize) -> f64 {
+        (2 * self.macs * batch as u64) as f64 / (self.total_ms / 1e3) / 1e9
+    }
+}
+
 /// The analytic performance model for one chain configuration.
 ///
 /// # Example
@@ -203,8 +237,7 @@ impl PerfModel {
     }
 
     /// Predicts a full network run at `batch` images: per-layer times,
-    /// fps, and achieved GOPS. Kernel loads are charged once per batch
-    /// (the paper's amortization argument in §V.B).
+    /// fps, and achieved GOPS, accumulated by [`PerfTotals`].
     ///
     /// # Errors
     ///
@@ -217,28 +250,21 @@ impl PerfModel {
     ) -> Result<NetworkPerf, CoreError> {
         let freq_hz = self.cfg.freq_mhz() * 1e6;
         let mut layers = Vec::with_capacity(net.layers().len());
-        let mut total_ms = 0f64;
-        let mut total_macs = 0u64;
+        let mut totals = PerfTotals::default();
         for spec in net.layers() {
-            let perf = self.layer(spec, model)?;
-            let conv_ms = perf.compute_cycles() * batch as f64 / freq_hz * 1e3;
-            let load_ms = perf.load_cycles as f64 / freq_hz * 1e3;
-            total_ms += conv_ms + load_ms;
-            total_macs += perf.macs;
+            let (conv_ms, load_ms) = totals.add(&self.layer(spec, model)?, batch, freq_hz);
             layers.push(LayerTime {
                 name: spec.name().to_owned(),
                 conv_ms,
                 load_ms,
             });
         }
-        let fps = batch as f64 / (total_ms / 1e3);
-        let gops = (2 * total_macs * batch as u64) as f64 / (total_ms / 1e3) / 1e9;
         Ok(NetworkPerf {
             layers,
             batch,
-            total_ms,
-            fps,
-            gops,
+            total_ms: totals.total_ms,
+            fps: totals.fps(batch),
+            gops: totals.gops(batch),
         })
     }
 }

@@ -210,7 +210,9 @@ pub fn measure(net: &Network, word_bits: u32) -> Result<AccuracyStats, DseError>
     })
 }
 
-type Memo = Mutex<HashMap<(String, u32), f64>>;
+/// Keyed by the interned network's own name, so every alias of one
+/// network shares its entry and a probe allocates nothing.
+type Memo = Mutex<HashMap<(&'static str, u32), f64>>;
 
 fn memo() -> &'static Memo {
     static MEMO: OnceLock<Memo> = OnceLock::new();
@@ -240,14 +242,14 @@ pub fn recomputations() -> u64 {
 ///
 /// [`DseError::Spec`] for an unknown network or unsupported word width.
 pub fn sqnr_for(net: &str, word_bits: u32) -> Result<f64, DseError> {
-    let key = (net.to_ascii_lowercase(), word_bits);
+    let network =
+        network_by_name(net).ok_or_else(|| DseError::Spec(format!("unknown network '{net}'")))?;
+    let key = (network.name(), word_bits);
     let mut memo = memo().lock().expect("accuracy memo poisoned");
     if let Some(&sqnr) = memo.get(&key) {
         return Ok(sqnr);
     }
-    let network =
-        network_by_name(net).ok_or_else(|| DseError::Spec(format!("unknown network '{net}'")))?;
-    let stats = measure(&network, word_bits)?;
+    let stats = measure(network, word_bits)?;
     recompute_counter().fetch_add(1, Ordering::Relaxed);
     memo.insert(key, stats.sqnr_db);
     Ok(stats.sqnr_db)
@@ -257,16 +259,19 @@ pub fn sqnr_for(net: &str, word_bits: u32) -> Result<f64, DseError> {
 /// loaded from a persisted record). A no-op when the pair is already
 /// memoized; never overwrites, so a measured value always wins over a
 /// loaded one on ties (they are bit-identical anyway — the measurement
-/// is deterministic).
+/// is deterministic). A value for a network this build does not know is
+/// dropped, since no point of it can evaluate.
 pub fn seed(net: &str, word_bits: u32, sqnr_db: f64) {
+    let Some(network) = network_by_name(net) else {
+        return;
+    };
     if !sqnr_db.is_finite() {
         return;
     }
-    let key = (net.to_ascii_lowercase(), word_bits);
     memo()
         .lock()
         .expect("accuracy memo poisoned")
-        .entry(key)
+        .entry((network.name(), word_bits))
         .or_insert(sqnr_db);
 }
 
@@ -292,8 +297,8 @@ mod tests {
     fn wider_words_measure_higher_sqnr_on_every_zoo_net() {
         for net in ["lenet", "cifar10", "alexnet"] {
             let network = network_by_name(net).unwrap();
-            let narrow = measure(&network, 8).unwrap();
-            let wide = measure(&network, 16).unwrap();
+            let narrow = measure(network, 8).unwrap();
+            let wide = measure(network, 16).unwrap();
             assert!(
                 wide.sqnr_db > narrow.sqnr_db + 20.0,
                 "{net}: 16-bit {:.1} dB vs 8-bit {:.1} dB",
@@ -310,8 +315,8 @@ mod tests {
     #[test]
     fn measurement_is_deterministic() {
         let net = network_by_name("cifar10").unwrap();
-        let a = measure(&net, 8).unwrap();
-        let b = measure(&net, 8).unwrap();
+        let a = measure(net, 8).unwrap();
+        let b = measure(net, 8).unwrap();
         assert_eq!(a.sqnr_db.to_bits(), b.sqnr_db.to_bits());
         assert_eq!(a.mse.to_bits(), b.mse.to_bits());
     }
@@ -344,7 +349,7 @@ mod tests {
     fn unknown_net_and_bad_width_are_errors() {
         assert!(sqnr_for("squeezenet", 16).is_err());
         let net = network_by_name("lenet").unwrap();
-        assert!(measure(&net, 12).is_err());
+        assert!(measure(net, 12).is_err());
     }
 
     #[test]

@@ -238,6 +238,11 @@ struct CompletionState {
     /// Set exactly once, by the worker that observed completion first;
     /// guards the active-count decrement against racing late claims.
     closed: bool,
+    /// Set by that closing worker once the job has left the claim list
+    /// and released its admission. The waiter returns only after this,
+    /// so a submitter that got its result can submit again at once
+    /// without being refused by its own finished job.
+    released: bool,
 }
 
 /// Whether completing this job releases an admission slot. Jobs from
@@ -274,7 +279,8 @@ pub struct JobHandle {
 
 impl JobHandle {
     /// Blocks until every point of the job is evaluated (or the job
-    /// failed), returning outcomes in the submitted point order.
+    /// failed) and the job has released its admission, returning
+    /// outcomes in the submitted point order.
     ///
     /// # Errors
     ///
@@ -282,7 +288,7 @@ impl JobHandle {
     /// shutdown notice if the engine was torn down mid-job.
     pub fn wait(self) -> Result<JobResult, DseError> {
         let mut state = self.done.state.lock().expect("completion lock poisoned");
-        while state.error.is_none() && state.finished < state.total {
+        while !state.released {
             state = self.done.cv.wait(state).expect("completion lock poisoned");
         }
         if let Some(e) = state.error.take() {
@@ -454,6 +460,8 @@ impl Engine {
                 cache_misses: 0,
                 error: None,
                 closed: false,
+                // An empty job is never queued, so nothing releases it.
+                released: total == 0,
             }),
             cv: Condvar::new(),
             slot,
@@ -772,14 +780,11 @@ impl Engine {
                 }
                 cs.finished = cs.finished.max(cs.total);
             }
-            if cs.error.is_some() || cs.finished >= cs.total {
+            let complete = cs.finished >= cs.total && !cs.closed;
+            if complete {
                 // Stamp the end of execution before the waiter can
                 // observe completion.
                 let _ = done.finished_at.set(Instant::now());
-            }
-            done.cv.notify_all();
-            let complete = cs.finished >= cs.total && !cs.closed;
-            if complete {
                 cs.closed = true;
             }
             complete
@@ -789,6 +794,11 @@ impl Engine {
             if done.slot == SlotOwnership::Owned {
                 self.finish_job();
             }
+            done.state
+                .lock()
+                .expect("completion lock poisoned")
+                .released = true;
+            done.cv.notify_all();
         }
     }
 
@@ -855,6 +865,31 @@ mod tests {
             assert_eq!(job.outcomes, reference, "{workers} workers");
             assert_eq!(job.cache_misses, points.len() as u64);
         }
+    }
+
+    #[test]
+    fn a_returned_wait_has_released_its_admission() {
+        // Capacity 1: each next submit fits only if the job before it
+        // gave its slot back by the time `wait` returned. Shutdown runs
+        // before the assertion, so a refusal fails the test, not hangs it.
+        let engine = Engine::new(1, ClaimPolicy::adaptive());
+        let cache = PointCache::new();
+        let refused = std::thread::scope(|scope| {
+            for w in 0..2 {
+                let (engine, cache) = (&engine, &cache);
+                scope.spawn(move || engine.worker_loop_indexed(w, cache));
+            }
+            let refused = (0..200)
+                .filter(|i| match engine.submit(grid(vec![25 + i])) {
+                    Ok(job) => job.wait().map(|_| false).unwrap_or(true),
+                    Err(_) => true,
+                })
+                .count();
+            engine.begin_shutdown();
+            refused
+        });
+        assert_eq!(refused, 0);
+        assert_eq!(engine.active_jobs(), 0);
     }
 
     #[test]

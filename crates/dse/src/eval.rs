@@ -1,7 +1,6 @@
 //! Evaluation of one design point through the full model stack:
 //! performance (fps), power (on-chip + DRAM interface), and area.
 
-use chain_nn_core::perf::{CycleModel, PerfModel};
 use chain_nn_core::ChainConfig;
 use chain_nn_energy::area::AreaModel;
 use chain_nn_energy::power::PowerModel;
@@ -130,12 +129,9 @@ pub fn evaluate(point: &DesignPoint) -> Result<PointOutcome, DseError> {
         word_bytes: point.word_bits as usize / 8,
     };
 
-    let perf = match PerfModel::new(cfg).network(&net, point.batch, CycleModel::PaperCalibrated) {
-        Ok(p) => p,
-        Err(e) => return Ok(PointOutcome::Infeasible(e.to_string())),
-    };
+    // One pass over the layers gives fps, traffic and power together.
     let power = match PowerModel::with_operand_bits(cfg, mem, point.word_bits)
-        .network_power(&net, point.batch)
+        .network_power(net, point.batch)
     {
         Ok(p) => p,
         Err(e) => return Ok(PointOutcome::Infeasible(e.to_string())),
@@ -146,8 +142,8 @@ pub fn evaluate(point: &DesignPoint) -> Result<PointOutcome, DseError> {
     let sqnr_db = crate::accuracy::sqnr_for(&point.net, point.word_bits)?;
 
     Ok(PointOutcome::Feasible(PointResult {
-        fps: perf.fps,
-        achieved_gops: perf.gops,
+        fps: power.perf.fps(point.batch),
+        achieved_gops: power.perf.gops(point.batch),
         peak_gops: cfg.peak_gops(),
         chip_mw: power.breakdown.total_mw(),
         dram_mw: power.dram_mw,

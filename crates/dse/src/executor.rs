@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use crate::cache::PointCache;
-use crate::engine::{ClaimPolicy, Engine, EngineMetrics, TraceRef};
+use crate::engine::{ClaimPolicy, Engine, EngineMetrics, TraceRef, DEFAULT_MAX_CLAIM};
 use crate::eval::{evaluate, PointOutcome};
 use crate::spec::DesignPoint;
 use crate::DseError;
@@ -132,7 +132,9 @@ pub fn run(
         )
         .expect("a fresh engine admits its first job");
     engine.begin_shutdown();
-    if threads == 1 {
+    // A job that fits in one claim has nothing to share: spawning
+    // workers for it costs more than the job itself.
+    if threads == 1 || points.len() <= DEFAULT_MAX_CLAIM {
         engine.worker_loop(cache);
     } else {
         std::thread::scope(|scope| {

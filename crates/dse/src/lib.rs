@@ -63,6 +63,7 @@ pub mod spec;
 
 use std::error::Error;
 use std::fmt;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use chain_nn_nets::{zoo, Network};
@@ -91,18 +92,34 @@ impl fmt::Display for DseError {
 
 impl Error for DseError {}
 
+/// Every CLI name (with the common aliases) and its network's position
+/// in [`zoo::all`].
+const ZOO_NAMES: [(&str, usize); 13] = [
+    ("lenet", 0),
+    ("lenet-5", 0),
+    ("mnist", 0),
+    ("cifar10", 1),
+    ("cifar-10", 1),
+    ("alexnet", 2),
+    ("vgg16", 3),
+    ("vgg-16", 3),
+    ("resnet18", 4),
+    ("resnet-18", 4),
+    ("mobilenet", 5),
+    ("mobilenetv1", 5),
+    ("mobilenet-v1", 5),
+];
+
 /// Looks a zoo network up by its CLI name (case-insensitive, with the
-/// common aliases).
-pub fn network_by_name(name: &str) -> Option<Network> {
-    match name.to_ascii_lowercase().as_str() {
-        "alexnet" => Some(zoo::alexnet()),
-        "vgg16" | "vgg-16" => Some(zoo::vgg16()),
-        "lenet" | "lenet-5" | "mnist" => Some(zoo::lenet()),
-        "cifar10" | "cifar-10" => Some(zoo::cifar10()),
-        "resnet18" | "resnet-18" => Some(zoo::resnet18()),
-        "mobilenet" | "mobilenetv1" | "mobilenet-v1" => Some(zoo::mobilenet_v1()),
-        _ => None,
-    }
+/// common aliases). The zoo is built once per process; every lookup
+/// borrows the same interned network, so it neither allocates nor
+/// rebuilds layer lists.
+pub fn network_by_name(name: &str) -> Option<&'static Network> {
+    static ZOO: OnceLock<Vec<Network>> = OnceLock::new();
+    let &(_, index) = ZOO_NAMES
+        .iter()
+        .find(|(alias, _)| alias.eq_ignore_ascii_case(name))?;
+    Some(&ZOO.get_or_init(zoo::all)[index])
 }
 
 /// Wall-clock and cache statistics of one sweep run.
@@ -237,6 +254,37 @@ impl Explorer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_name_resolves_to_one_interned_zoo_network() {
+        let built = [
+            ("lenet", zoo::lenet()),
+            ("cifar10", zoo::cifar10()),
+            ("alexnet", zoo::alexnet()),
+            ("vgg16", zoo::vgg16()),
+            ("resnet18", zoo::resnet18()),
+            ("mobilenet", zoo::mobilenet_v1()),
+        ];
+        for (name, net) in built {
+            assert_eq!(*network_by_name(name).unwrap(), net, "{name}");
+        }
+        let aliases = [
+            ("lenet-5", "lenet"),
+            ("MNIST", "lenet"),
+            ("CIFAR-10", "cifar10"),
+            ("AlexNet", "alexnet"),
+            ("VGG-16", "vgg16"),
+            ("ResNet-18", "resnet18"),
+            ("MobileNetV1", "mobilenet"),
+            ("mobilenet-v1", "mobilenet"),
+        ];
+        for (alias, name) in aliases {
+            let a = network_by_name(alias).unwrap();
+            assert!(std::ptr::eq(a, network_by_name(name).unwrap()), "{alias}");
+        }
+        assert!(network_by_name("vgg").is_none());
+        assert!(network_by_name("").is_none());
+    }
 
     #[test]
     fn default_grid_sweeps_and_keeps_paper_point_on_frontier() {

@@ -23,6 +23,8 @@
 //! assert_eq!(frontier_3d(&points), vec![0, 2]);
 //! ```
 
+use std::cmp::Ordering;
+
 use crate::eval::PointResult;
 
 /// The objective vector of one feasible point.
@@ -71,35 +73,70 @@ pub fn dominates_accuracy(a: &Objectives, b: &Objectives) -> bool {
     no_worse && better
 }
 
-fn frontier_by(
+/// Sort-then-filter frontier extraction. `axes` maps a point to the
+/// relation's own axes, each oriented so that smaller is better (a
+/// maximized objective is negated).
+///
+/// Sorting lexicographically on those axes puts every dominator before
+/// the points it dominates: at the first axis where the two differ, the
+/// dominator is the better. Dominance is a strict partial order, so
+/// every dominated point has a dominator that is itself non-dominated;
+/// that one sorted earlier and was accepted. Testing each candidate
+/// against the frontier accepted so far is therefore exact. For the
+/// order to agree with the `>=`/`<=` dominance tests, `-0.0` sorts as
+/// `0.0`; a NaN axis compares false both ways, so a point with one
+/// neither dominates nor is dominated and stays on the frontier
+/// wherever it sorts.
+fn frontier_by<const N: usize>(
     objectives: &[(usize, Objectives)],
+    axes: impl Fn(&Objectives) -> [f64; N],
     dominates: impl Fn(&Objectives, &Objectives) -> bool,
 ) -> Vec<usize> {
-    let mut frontier = Vec::new();
-    for (i, oi) in objectives {
-        let dominated = objectives.iter().any(|(j, oj)| j != i && dominates(oj, oi));
-        if !dominated {
-            frontier.push(*i);
+    let mut sorted: Vec<([f64; N], &(usize, Objectives))> = objectives
+        .iter()
+        .map(|entry| (axes(&entry.1).map(|v| v + 0.0), entry))
+        .collect();
+    sorted.sort_by(|(a, _), (b, _)| {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| x.total_cmp(y))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    });
+    let mut frontier: Vec<&(usize, Objectives)> = Vec::new();
+    for (_, candidate) in sorted {
+        if !frontier.iter().any(|f| dominates(&f.1, &candidate.1)) {
+            frontier.push(candidate);
         }
     }
-    frontier
+    let mut indices: Vec<usize> = frontier.iter().map(|(i, _)| *i).collect();
+    indices.sort_unstable();
+    indices
 }
 
 /// Indices (into the caller's list) of the 3D-non-dominated points.
 /// Input is `(index, objectives)` for every *feasible* point; the
-/// returned indices are ascending because input order is preserved.
+/// returned indices are ascending.
 pub fn frontier_3d(objectives: &[(usize, Objectives)]) -> Vec<usize> {
-    frontier_by(objectives, dominates_3d)
+    frontier_by(
+        objectives,
+        |o| [-o.fps, o.system_mw, o.gates_k],
+        dominates_3d,
+    )
 }
 
 /// Indices of the 2D-non-dominated points (fps × power).
 pub fn frontier_2d(objectives: &[(usize, Objectives)]) -> Vec<usize> {
-    frontier_by(objectives, dominates_2d)
+    frontier_by(objectives, |o| [-o.fps, o.system_mw], dominates_2d)
 }
 
 /// Indices of the accuracy-non-dominated points (fps × power × SQNR).
 pub fn frontier_accuracy(objectives: &[(usize, Objectives)]) -> Vec<usize> {
-    frontier_by(objectives, dominates_accuracy)
+    frontier_by(
+        objectives,
+        |o| [-o.fps, o.system_mw, -o.sqnr_db],
+        dominates_accuracy,
+    )
 }
 
 /// Merges per-partition frontier candidate lists into one canonically
@@ -138,6 +175,20 @@ pub fn merge_frontier_accuracy(parts: &[Vec<(usize, Objectives)>]) -> Vec<usize>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The all-pairs scan that sort-then-filter replaced, kept as the
+    /// reference the property below compares against.
+    fn all_pairs(
+        objectives: &[(usize, Objectives)],
+        dominates: impl Fn(&Objectives, &Objectives) -> bool,
+    ) -> Vec<usize> {
+        objectives
+            .iter()
+            .filter(|(i, oi)| !objectives.iter().any(|(j, oj)| j != i && dominates(oj, oi)))
+            .map(|(i, _)| *i)
+            .collect()
+    }
 
     fn obj(fps: f64, mw: f64, gates: f64) -> Objectives {
         Objectives {
@@ -250,6 +301,66 @@ mod tests {
             ..wide
         };
         assert!(dominates_accuracy(&narrow, &same));
+    }
+
+    /// `precise` dominates `coarse` on fps × power × SQNR but is the
+    /// larger design. An order shared with the 3D frontier (fps, power,
+    /// area) would test `coarse` first, accept it, and never drop it.
+    #[test]
+    fn accuracy_frontier_sorts_on_its_own_axes() {
+        let coarse = Objectives {
+            fps: 10.0,
+            system_mw: 100.0,
+            gates_k: 50.0,
+            sqnr_db: 40.0,
+        };
+        let precise = Objectives {
+            gates_k: 60.0,
+            sqnr_db: 70.0,
+            ..coarse
+        };
+        let pts = vec![(0, coarse), (1, precise)];
+        assert_eq!(frontier_accuracy(&pts), vec![1]);
+        assert_eq!(frontier_3d(&pts), vec![0]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Sort-then-filter equals the all-pairs scan on every relation.
+        /// Axis values come from a pool of `width` values, so duplicate
+        /// points and ties on one or two axes are common; the pool holds
+        /// both zeros, and one draw in 16 is NaN.
+        #[test]
+        fn frontiers_match_the_all_pairs_scan(
+            n in 0usize..48,
+            width in 1usize..6,
+            seed in 0u64..u64::MAX,
+        ) {
+            let pool = [0.0, -0.0, 1.0, 2.0, -1.0, 3.5];
+            let mut rng = TestRng::deterministic(&seed.to_string());
+            let mut value = || match rng.next_u64() % 16 {
+                0 => f64::NAN,
+                r => pool[r as usize % width],
+            };
+            let pts: Vec<(usize, Objectives)> = (0..n)
+                .map(|i| {
+                    let o = Objectives {
+                        fps: value(),
+                        system_mw: value(),
+                        gates_k: value(),
+                        sqnr_db: value(),
+                    };
+                    (i, o)
+                })
+                .collect();
+            prop_assert_eq!(frontier_2d(&pts), all_pairs(&pts, dominates_2d));
+            prop_assert_eq!(frontier_3d(&pts), all_pairs(&pts, dominates_3d));
+            prop_assert_eq!(
+                frontier_accuracy(&pts),
+                all_pairs(&pts, dominates_accuracy)
+            );
+        }
     }
 
     #[test]

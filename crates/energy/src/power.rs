@@ -7,9 +7,9 @@
 //! with pipeline registers ≈ 2 pJ, small SRAM reads 2–4 pJ, distributed
 //! register-file reads with chain-long distribution ≈ 9 pJ).
 
-use chain_nn_core::perf::{CycleModel, PerfModel};
+use chain_nn_core::perf::{CycleModel, PerfModel, PerfTotals};
 use chain_nn_core::{ChainConfig, CoreError};
-use chain_nn_mem::traffic::{totals, TrafficModel};
+use chain_nn_mem::traffic::{LayerTraffic, TrafficModel};
 use chain_nn_mem::MemoryConfig;
 use chain_nn_nets::Network;
 
@@ -52,12 +52,6 @@ impl EnergyCoefficients {
     }
 }
 
-impl Default for EnergyCoefficients {
-    fn default() -> Self {
-        EnergyCoefficients::fitted_28nm()
-    }
-}
-
 /// Average power per component while running a workload (Fig. 10 left).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerBreakdown {
@@ -89,7 +83,7 @@ impl PowerBreakdown {
     }
 }
 
-/// Full power/efficiency report for a network run.
+/// Full power/efficiency report for a network run, with its perf and traffic totals.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerReport {
     /// Component breakdown.
@@ -97,12 +91,12 @@ pub struct PowerReport {
     /// Off-chip DRAM interface power (excluded from the totals, as in
     /// the paper).
     pub dram_mw: f64,
-    /// Batch latency in milliseconds.
-    pub time_ms: f64,
     /// Peak throughput of the configuration in GOPS.
     pub peak_gops: f64,
-    /// Achieved throughput on this workload in GOPS.
-    pub achieved_gops: f64,
+    /// Batch latency and MACs, summed exactly as [`PerfModel::network`] sums them.
+    pub perf: PerfTotals,
+    /// Traffic summed over the layers (an unnamed row).
+    pub traffic: LayerTraffic,
 }
 
 impl PowerReport {
@@ -138,8 +132,6 @@ impl PowerReport {
 pub struct PowerModel {
     cfg: ChainConfig,
     coef: EnergyCoefficients,
-    perf: PerfModel,
-    traffic: TrafficModel,
     mem: MemoryConfig,
     operand_bits: u32,
 }
@@ -157,8 +149,6 @@ impl PowerModel {
         coef: EnergyCoefficients,
     ) -> Self {
         PowerModel {
-            perf: PerfModel::new(cfg),
-            traffic: TrafficModel::new(cfg, mem),
             cfg,
             coef,
             mem,
@@ -185,41 +175,45 @@ impl PowerModel {
         model
     }
 
-    /// The coefficients in use.
-    pub fn coefficients(&self) -> &EnergyCoefficients {
-        &self.coef
-    }
-
     /// Average power running `net` at batch size `batch` (the paper's
-    /// Fig. 10 uses AlexNet).
+    /// Fig. 10 uses AlexNet), in one pass: each layer's single
+    /// [`PerfModel::layer`] call feeds the perf, traffic and power totals.
     ///
     /// # Errors
     ///
-    /// Propagates mapping errors from the performance/traffic models.
+    /// Propagates mapping errors from the performance/traffic models; a
+    /// performance error on any layer outranks an earlier traffic error.
     pub fn network_power(&self, net: &Network, batch: usize) -> Result<PowerReport, CoreError> {
+        let traffic_model = TrafficModel::new(self.cfg, self.mem);
         let n = batch as f64;
+        let freq_hz = self.cfg.freq_mhz() * 1e6;
+        let mut perf = PerfTotals::default();
+        let mut traffic = Ok(LayerTraffic::default());
         // Cycles and MAC activity (paper-calibrated accounting).
         let mut conv_cycles = 0f64;
         let mut load_cycles = 0f64;
         let mut macs = 0f64;
         for spec in net.layers() {
-            let p = self.perf.layer(spec, CycleModel::PaperCalibrated)?;
+            let p = PerfModel::new(self.cfg).layer(spec, CycleModel::PaperCalibrated)?;
+            perf.add(&p, batch, freq_hz);
             conv_cycles += p.compute_cycles() * n;
             load_cycles += p.load_cycles as f64;
             macs += p.macs as f64 * n;
+            let row = traffic_model.layer_traffic_streamed(spec, batch, p.stream_cycles);
+            traffic = traffic.and_then(|mut t| {
+                t.accumulate(&row?);
+                Ok(t)
+            });
         }
+        let traffic = traffic?;
         let total_cycles = conv_cycles + load_cycles;
-        let freq_hz = self.cfg.freq_mhz() * 1e6;
         let time_s = total_cycles / freq_hz;
 
-        // Traffic for the same batch.
-        let rows = self.traffic.network_traffic(net, batch)?;
-        let t = totals(&rows);
         let word = self.mem.word_bytes as f64;
-        let imem_acc = t.imem_bytes as f64 / word;
-        let omem_acc = t.omem_bytes as f64 / word;
-        let kmem_acc = t.kmem_bytes as f64 / word;
-        let dram_words = t.dram_bytes as f64 / word;
+        let imem_acc = traffic.imem_bytes as f64 / word;
+        let omem_acc = traffic.omem_bytes as f64 / word;
+        let kmem_acc = traffic.kmem_bytes as f64 / word;
+        let dram_words = traffic.dram_bytes as f64 / word;
 
         let mw = |events: f64, pj: f64| events * pj * 1e-9 / time_s;
         let idle_pe_cycles = (self.cfg.num_pes() as f64 * total_cycles - macs).max(0.0);
@@ -235,7 +229,6 @@ impl PowerModel {
             + self.mem.omem_bytes as f64 / 1024.0 * self.coef.leak_mw_per_kb;
         let dram_mw = mw(dram_words, self.coef.dram_pj_per_word);
 
-        let achieved_gops = 2.0 * macs / time_s / 1e9;
         Ok(PowerReport {
             breakdown: PowerBreakdown {
                 chain_mw,
@@ -244,9 +237,9 @@ impl PowerModel {
                 omem_mw,
             },
             dram_mw,
-            time_ms: time_s * 1e3,
             peak_gops: self.cfg.peak_gops(),
-            achieved_gops,
+            perf,
+            traffic,
         })
     }
 }
@@ -354,7 +347,7 @@ mod tests {
             PowerModel::with_operand_bits(ChainConfig::paper_576(), MemoryConfig::paper(), 8)
                 .network_power(&zoo::alexnet(), 4)
                 .unwrap();
-        assert_eq!(narrow.time_ms, full.time_ms);
+        assert_eq!(narrow.perf, full.perf);
         assert!(narrow.breakdown.chain_mw < full.breakdown.chain_mw);
         assert!(narrow.breakdown.kmem_mw < full.breakdown.kmem_mw);
         assert!(narrow.breakdown.imem_mw < full.breakdown.imem_mw);
@@ -377,7 +370,7 @@ mod tests {
     #[test]
     fn achieved_below_peak() {
         let r = report();
-        assert!(r.achieved_gops < r.peak_gops);
-        assert!(r.achieved_gops > 0.3 * r.peak_gops);
+        assert!(r.perf.gops(4) < r.peak_gops);
+        assert!(r.perf.gops(4) > 0.3 * r.peak_gops);
     }
 }

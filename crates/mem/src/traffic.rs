@@ -27,7 +27,7 @@ use crate::dataflow::plan_group;
 use crate::MemoryConfig;
 
 /// Traffic of one layer for a whole batch, in bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LayerTraffic {
     /// Layer name.
     pub name: String,
@@ -48,26 +48,27 @@ pub struct LayerTraffic {
     pub dram_weight_bytes: u64,
 }
 
+impl LayerTraffic {
+    /// Adds `other`'s byte counts to this row's (the name is kept).
+    pub fn accumulate(&mut self, other: &LayerTraffic) {
+        self.dram_bytes += other.dram_bytes;
+        self.imem_bytes += other.imem_bytes;
+        self.kmem_bytes += other.kmem_bytes;
+        self.omem_bytes += other.omem_bytes;
+        self.dram_ifmap_bytes += other.dram_ifmap_bytes;
+        self.dram_ofmap_bytes += other.dram_ofmap_bytes;
+        self.dram_weight_bytes += other.dram_weight_bytes;
+    }
+}
+
 /// Sums a set of layer traffics (the "Total" column of Table IV).
 pub fn totals(layers: &[LayerTraffic]) -> LayerTraffic {
     let mut t = LayerTraffic {
         name: "Total".to_owned(),
-        dram_bytes: 0,
-        imem_bytes: 0,
-        kmem_bytes: 0,
-        omem_bytes: 0,
-        dram_ifmap_bytes: 0,
-        dram_ofmap_bytes: 0,
-        dram_weight_bytes: 0,
+        ..LayerTraffic::default()
     };
     for l in layers {
-        t.dram_bytes += l.dram_bytes;
-        t.imem_bytes += l.imem_bytes;
-        t.kmem_bytes += l.kmem_bytes;
-        t.omem_bytes += l.omem_bytes;
-        t.dram_ifmap_bytes += l.dram_ifmap_bytes;
-        t.dram_ofmap_bytes += l.dram_ofmap_bytes;
-        t.dram_weight_bytes += l.dram_weight_bytes;
+        t.accumulate(l);
     }
     t
 }
@@ -79,17 +80,12 @@ pub fn totals(layers: &[LayerTraffic]) -> LayerTraffic {
 pub struct TrafficModel {
     chain: ChainConfig,
     mem: MemoryConfig,
-    perf: PerfModel,
 }
 
 impl TrafficModel {
     /// Builds the model for a chain and memory configuration.
     pub fn new(chain: ChainConfig, mem: MemoryConfig) -> Self {
-        TrafficModel {
-            perf: PerfModel::new(chain),
-            chain,
-            mem,
-        }
+        TrafficModel { chain, mem }
     }
 
     /// Traffic of one layer for `batch` images.
@@ -102,6 +98,20 @@ impl TrafficModel {
         spec: &ConvLayerSpec,
         batch: usize,
     ) -> Result<LayerTraffic, CoreError> {
+        let perf = PerfModel::new(self.chain).layer(spec, CycleModel::PaperCalibrated)?;
+        let mut row = self.layer_traffic_streamed(spec, batch, perf.stream_cycles)?;
+        row.name = spec.name().to_owned();
+        Ok(row)
+    }
+
+    /// [`TrafficModel::layer_traffic`] given the layer's paper-calibrated
+    /// `stream` cycles per image, as an unnamed row (nothing allocated).
+    pub fn layer_traffic_streamed(
+        &self,
+        spec: &ConvLayerSpec,
+        batch: usize,
+        stream: f64,
+    ) -> Result<LayerTraffic, CoreError> {
         let n = batch as u64;
         let word = self.mem.word_bytes as u64;
         let e_h = spec.out_h() as u64;
@@ -109,10 +119,6 @@ impl TrafficModel {
 
         // oMemory: RMW per output per channel pass, per group.
         let omem_accesses = 2 * n * spec.m() as u64 * e_h * e_w * spec.c_per_group() as u64;
-
-        // Stream cycles per image (paper-calibrated model).
-        let perf = self.perf.layer(spec, CycleModel::PaperCalibrated)?;
-        let stream = perf.stream_cycles;
 
         // iMemory: lanes × streaming cycles.
         let lanes = if spec.stride() == 1 { 2.0 } else { 1.0 };
@@ -143,7 +149,7 @@ impl TrafficModel {
         let dram_weights = spec.weights() * word; // once per batch
 
         Ok(LayerTraffic {
-            name: spec.name().to_owned(),
+            name: String::new(),
             dram_bytes: dram_ifmap + dram_ofmap + dram_weights,
             imem_bytes: (imem_reads * word as f64).round() as u64,
             kmem_bytes: (kmem_reads * word as f64).round() as u64,

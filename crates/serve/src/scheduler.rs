@@ -253,9 +253,11 @@ mod tests {
                 let s = Arc::clone(sched);
                 scope.spawn(move || s.worker_loop_indexed(w as u32));
             }
-            let out = body();
+            // Shut down even when `body` panics: otherwise a failed
+            // assertion leaves the workers waiting and the scope hangs.
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
             sched.begin_shutdown();
-            out
+            out.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
         })
     }
 

@@ -50,7 +50,7 @@ fn main() {
     for net in ["lenet", "cifar10", "alexnet", "vgg16"] {
         for bits in [8u32, 16] {
             let network = chain_nn_repro::dse::network_by_name(net).expect("zoo network");
-            let stats = chain_nn_repro::dse::accuracy::measure(&network, bits).expect("measures");
+            let stats = chain_nn_repro::dse::accuracy::measure(network, bits).expect("measures");
             println!(
                 "{net:>10} {bits:>8} {:>12.1} {:>12.5}",
                 stats.sqnr_db, stats.max_abs

@@ -247,31 +247,38 @@ fn watch_stream_reports_live_windowed_rates_during_a_sweep() {
         ..ServerConfig::default()
     });
 
-    let sweep_done = AtomicBool::new(false);
+    let watch_done = AtomicBool::new(false);
     let first_eval_done = AtomicBool::new(false);
-    let (samples, done, evals_sent) = std::thread::scope(|scope| {
-        scope.spawn(|| {
+    let (samples, done, evals_sent, sweeps_sent) = std::thread::scope(|scope| {
+        let sweeper = scope.spawn(|| {
             let mut sweeper = Client::connect(addr).expect("connect sweeper");
-            // ~2000 cold points: (16..=1024) PEs × two clock rates on
-            // lenet keeps the single worker busy throughout the watch.
-            let grid = SweepSpec {
-                pes: (16..=1024).collect(),
-                freqs_mhz: vec![350.0, 700.0],
-                nets: vec!["lenet".into()],
-                ..SweepSpec::paper_point()
-            };
-            match sweeper.sweep(grid).expect("sweep round trip") {
-                Response::Sweep(_) => {}
-                other => panic!("expected a sweep reply, got {other:?}"),
+            // ~2000 cold points per sweep: (16..=1024) PEs × two clock
+            // rates on lenet. One optimized-build sweep ends long before
+            // the watch does, so fresh sweeps (each at its own clock
+            // pair, so cache-cold) keep the single worker busy until it
+            // has.
+            let mut sent = 0u32;
+            while !watch_done.load(Ordering::SeqCst) {
+                let offset = f64::from(sent);
+                let grid = SweepSpec {
+                    pes: (16..=1024).collect(),
+                    freqs_mhz: vec![350.0 + offset, 700.0 + offset],
+                    nets: vec!["lenet".into()],
+                    ..SweepSpec::paper_point()
+                };
+                match sweeper.sweep(grid).expect("sweep round trip") {
+                    Response::Sweep(_) => sent += 1,
+                    other => panic!("expected a sweep reply, got {other:?}"),
+                }
             }
-            sweep_done.store(true, Ordering::SeqCst);
+            u64::from(sent)
         });
         // Eval pump: distinct cold points so every sampler window has
         // fresh eval completions to derive rates and quantiles from.
         let pump = scope.spawn(|| {
             let mut client = Client::connect(addr).expect("connect pump");
             let mut sent = 0u64;
-            while !sweep_done.load(Ordering::SeqCst) || sent < 5 {
+            while !watch_done.load(Ordering::SeqCst) || sent < 5 {
                 let point = DesignPoint {
                     pes: 20 + (sent as usize % 400),
                     ..DesignPoint::paper_alexnet()
@@ -292,11 +299,14 @@ fn watch_stream_reports_live_windowed_rates_during_a_sweep() {
         }
         let mut watcher = Client::connect(addr).expect("connect watcher");
         let mut samples = Vec::new();
-        let done = watcher
-            .watch(4, |sample| samples.push(sample.clone()))
-            .expect("watch stream");
+        let done = watcher.watch(4, |sample| samples.push(sample.clone()));
+        // Stop the traffic before any check can panic, or the scope
+        // would wait on the pump and the sweeper forever.
+        watch_done.store(true, Ordering::SeqCst);
+        let done = done.expect("watch stream");
         let evals_sent = pump.join().expect("pump thread");
-        (samples, done, evals_sent)
+        let sweeps_sent = sweeper.join().expect("sweeper thread");
+        (samples, done, evals_sent, sweeps_sent)
     });
 
     // The stream delivered the asked-for sample count then terminated.
@@ -322,15 +332,15 @@ fn watch_stream_reports_live_windowed_rates_during_a_sweep() {
     }
     // Reconciliation with the clients' own tally: by the last sample
     // the daemon had received at most every request the three clients
-    // sent (evals + one sweep + the watch itself) and at least the
-    // watch request that produced the samples.
+    // sent (evals + sweeps + the watch itself) and at least the watch
+    // request that produced the samples.
     let last = samples.last().expect("samples");
     assert!(last.requests_total >= 1, "{last:?}");
     assert!(
-        last.requests_total <= evals_sent + 2,
+        last.requests_total <= evals_sent + sweeps_sent + 1,
         "daemon counted {} requests, clients sent at most {}",
         last.requests_total,
-        evals_sent + 2
+        evals_sent + sweeps_sent + 1
     );
     // The live traffic is visible: some sample caught the eval pump
     // with a nonzero windowed rate and a populated eval latency row.
