@@ -10,7 +10,7 @@ use crate::spec::DesignPoint;
 use crate::{network_by_name, DseError};
 
 /// Model outputs for one feasible design point.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PointResult {
     /// Frames per second (paper-calibrated cycle model).
     pub fps: f64,

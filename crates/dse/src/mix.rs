@@ -255,7 +255,7 @@ impl fmt::Display for WorkloadMix {
 /// Aggregated model outputs of one configuration over a workload mix.
 /// For a single-net mix this is exactly the per-point [`PointResult`]
 /// restricted to the shared fields.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MixResult {
     /// Weighted harmonic-mean frames per second across the mix.
     pub fps: f64,

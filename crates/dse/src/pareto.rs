@@ -28,7 +28,7 @@ use std::cmp::Ordering;
 use crate::eval::PointResult;
 
 /// The objective vector of one feasible point.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Objectives {
     /// Throughput, maximized.
     pub fps: f64,

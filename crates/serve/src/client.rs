@@ -13,7 +13,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use chain_nn_dse::{DesignPoint, PointOutcome, SweepSpec};
 use chain_nn_obs::trace::TraceContext;
 
-use crate::protocol::{ProtocolError, Request, Response};
+use crate::protocol::{ProtocolError, Request, RequestMeta, Response};
 
 /// Client-side failure: transport or protocol.
 #[derive(Debug)]
@@ -58,7 +58,9 @@ impl From<ProtocolError> for ClientError {
 /// alternation. [`Client::pipeline`] sends without flushing or
 /// waiting, so N requests can be in flight before the first
 /// [`Client::recv_reply`]; on loopback that amortizes the write/read
-/// syscall round trip across the whole batch.
+/// syscall round trip across the whole batch. The session keeps one
+/// buffer for encoding requests and one for reading reply lines, so a
+/// round trip allocates only what the decoded reply owns.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
@@ -69,6 +71,10 @@ pub struct Client {
     /// The next pipelining id. Starts at 1 so 0 never appears on the
     /// wire (and a daemon that echoes nothing stays distinguishable).
     next_req: u64,
+    /// Reused encode buffer for outgoing request lines.
+    wire: String,
+    /// Reused read buffer for incoming reply lines.
+    line: String,
 }
 
 impl Client {
@@ -87,6 +93,8 @@ impl Client {
             writer: BufWriter::new(stream),
             trace: None,
             next_req: 1,
+            wire: String::new(),
+            line: String::new(),
         })
     }
 
@@ -122,9 +130,14 @@ impl Client {
     pub fn pipeline(&mut self, request: &Request) -> Result<u64, ClientError> {
         let id = self.next_req;
         self.next_req += 1;
-        let mut wire = request.encode_with_meta(self.trace, Some(id));
-        wire.push('\n');
-        self.writer.write_all(wire.as_bytes())?;
+        self.wire.clear();
+        let meta = RequestMeta {
+            trace: self.trace,
+            req_id: Some(id),
+        };
+        request.encode_into(meta, &mut self.wire);
+        self.wire.push('\n');
+        self.writer.write_all(self.wire.as_bytes())?;
         Ok(id)
     }
 
@@ -146,8 +159,8 @@ impl Client {
     /// Blocks for the next reply line belonging to request `id`.
     fn recv_matching(&mut self, id: u64) -> Result<Response, ClientError> {
         loop {
-            let line = self.recv_raw_line()?;
-            let (response, req) = Response::decode_with_req(line.trim())?;
+            self.read_line()?;
+            let (response, req) = Response::decode_with_req(self.line.trim())?;
             match req {
                 Some(other) if other != id => continue,
                 _ => return Ok(response),
@@ -163,14 +176,20 @@ impl Client {
     ///
     /// Transport failures, including EOF before a line arrived.
     pub fn recv_raw_line(&mut self) -> Result<String, ClientError> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
+        self.read_line()?;
+        Ok(self.line.trim_end().to_owned())
+    }
+
+    /// Reads the next line into the session's line buffer.
+    fn read_line(&mut self) -> Result<(), ClientError> {
+        self.line.clear();
+        if self.reader.read_line(&mut self.line)? == 0 {
             return Err(ClientError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "daemon closed the connection before replying",
             )));
         }
-        Ok(line.trim_end().to_owned())
+        Ok(())
     }
 
     /// Sends a raw request line (already-encoded JSON) and returns the

@@ -24,7 +24,7 @@
 //! (warm from its own `--cache-file`) rejoins without coordinator
 //! restart.
 
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -399,16 +399,10 @@ impl Coordinator {
                     stream.set_nodelay(true).ok();
                     let open = shared.connections.load(Ordering::SeqCst);
                     if open >= shared.max_connections {
-                        let mut wire = Response::Busy {
+                        let _ = LineSink::new(&mut BufWriter::new(stream)).send(&Response::Busy {
                             active: open,
                             capacity: shared.max_connections,
-                        }
-                        .encode();
-                        wire.push('\n');
-                        let mut writer = BufWriter::new(stream);
-                        let _ = writer
-                            .write_all(wire.as_bytes())
-                            .and_then(|()| writer.flush());
+                        });
                         continue;
                     }
                     shared.connections.fetch_add(1, Ordering::SeqCst);
@@ -439,21 +433,18 @@ fn serve_session(stream: TcpStream, shared: &Arc<Shared>) {
     };
     let mut reader = BufReader::new(peer_read);
     let mut writer = BufWriter::new(stream);
+    let mut sink = LineSink::new(&mut writer);
     let mut conns: Vec<ShardConn<'_>> = shared.shards.iter().map(ShardConn::new).collect();
     let mut line = String::new();
     loop {
         line.clear();
+        sink.set_req_id(None);
         match (&mut reader).take(MAX_REQUEST_BYTES).read_line(&mut line) {
             Ok(0) | Err(_) => return,
             Ok(_) if line.len() as u64 >= MAX_REQUEST_BYTES && !line.ends_with('\n') => {
-                let mut refusal = Response::Error {
+                let _ = sink.send(&Response::Error {
                     message: format!("request exceeds {MAX_REQUEST_BYTES} bytes"),
-                }
-                .encode();
-                refusal.push('\n');
-                let _ = writer
-                    .write_all(refusal.as_bytes())
-                    .and_then(|()| writer.flush());
+                });
                 return;
             }
             Ok(_) => {}
@@ -469,13 +460,13 @@ fn serve_session(stream: TcpStream, shared: &Arc<Shared>) {
                 let reply = Response::Error {
                     message: e.to_string(),
                 };
-                if LineSink::new(&mut writer).send(&reply).is_err() {
+                if sink.send(&reply).is_err() {
                     return;
                 }
                 continue;
             }
         };
-        let mut sink = LineSink::with_id(&mut writer, meta.req_id);
+        sink.set_req_id(meta.req_id);
         let stop = matches!(request, Request::Shutdown);
         if handle_request(request, shared, &mut conns, &mut sink).is_err() {
             return; // client went away mid-reply

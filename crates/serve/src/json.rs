@@ -1,32 +1,252 @@
-//! Minimal JSON tree: parser and writer.
+//! Wire JSON without a tree: a streaming writer and a borrowing parser.
 //!
 //! The workspace carries no serde, and the serve protocol needs both
 //! directions (the daemon decodes requests and encodes responses; the
 //! client does the reverse), so this module implements just enough
-//! JSON: the full value grammar on parse, compact single-line output on
-//! write, shortest-round-trip float formatting (Rust's `{}` for `f64`),
-//! and `\uXXXX` escapes including surrogate pairs. No comments, no
-//! trailing commas, no NaN/Infinity — by design, since none of those
-//! survive a round trip through other tooling.
+//! JSON, building no owned value tree either way:
+//!
+//! - [`JsonWriter`] appends compact single-line JSON straight into a
+//!   caller-owned `String`, so a session that reuses one buffer encodes
+//!   a reply without allocating. Floats use the shortest round-trip form
+//!   (Rust's `{}` for `f64`), non-finite floats become `null`, and
+//!   integers above 2^53 are written as the `f64` a JSON number carries.
+//! - [`Doc::parse`] validates a whole document in one pass into a flat
+//!   tape of tokens. Keys and escape-free strings stay `&str` slices of
+//!   the input; only strings with escapes are allocated. A [`Node`] walks
+//!   the tape with the accessors a tree would offer, and
+//!   [`Node::get`] keeps the last of duplicate keys.
+//!
+//! The full value grammar parses, including `\uXXXX` escapes with
+//! surrogate pairs. No comments, no trailing commas, no NaN/Infinity —
+//! by design, since none of those survive a round trip through other
+//! tooling. Open containers are tracked on a heap stack rather than the
+//! call stack, so deeply nested input cannot overflow a thread's stack.
 
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
-/// One JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (always carried as `f64`).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object; insertion-ordered, duplicate keys keep the last.
-    Obj(Vec<(String, Json)>),
+// ---------------------------------------------------------------- writer
+
+/// A scalar the writer can emit as one JSON value.
+pub trait WriteJson {
+    /// Appends this value's JSON form to `out`.
+    fn write_json(&self, out: &mut String);
 }
+
+impl<T: WriteJson + ?Sized> WriteJson for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl WriteJson for str {
+    fn write_json(&self, out: &mut String) {
+        write_escaped(out, self);
+    }
+}
+
+impl WriteJson for String {
+    fn write_json(&self, out: &mut String) {
+        write_escaped(out, self);
+    }
+}
+
+impl WriteJson for bool {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+}
+
+impl WriteJson for f64 {
+    fn write_json(&self, out: &mut String) {
+        let v = *self;
+        if !v.is_finite() {
+            // Not representable in JSON; null is the least-bad lossy
+            // choice and never occurs for protocol data (specs validate
+            // finiteness).
+            out.push_str("null");
+        } else if v.fract() == 0.0 && v.abs() < 1e15 && !(v == 0.0 && v.is_sign_negative()) {
+            // Integral: the same digits `{}` prints, without the float
+            // formatter.
+            if v < 0.0 {
+                out.push('-');
+            }
+            write_digits(out, v.abs() as u64);
+        } else {
+            let _ = write!(out, "{v}");
+        }
+    }
+}
+
+impl WriteJson for u64 {
+    fn write_json(&self, out: &mut String) {
+        // A JSON number is an f64: beyond 2^53 the wire carries the
+        // nearest double, exactly as an `f64` would print.
+        if *self > 1 << 53 {
+            (*self as f64).write_json(out);
+        } else {
+            write_digits(out, *self);
+        }
+    }
+}
+
+impl<T: WriteJson> WriteJson for [T] {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
+    }
+}
+
+impl<T: WriteJson> WriteJson for Vec<T> {
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
+    }
+}
+
+macro_rules! write_json_as_u64 {
+    ($($t:ty),+) => {$(
+        impl WriteJson for $t {
+            fn write_json(&self, out: &mut String) {
+                (*self as u64).write_json(out);
+            }
+        }
+    )+};
+}
+
+write_json_as_u64!(usize, u32, u8);
+
+fn write_digits(out: &mut String, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    for &digit in &buf[i..] {
+        out.push(char::from(digit));
+    }
+}
+
+/// Writes `s` JSON-escaped, with surrounding quotes. Runs of bytes that
+/// need no escape are copied whole.
+pub fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // `b` is ASCII, so `i` is a char boundary.
+        out.push_str(&s[start..i]);
+        if escape.is_empty() {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        } else {
+            out.push_str(escape);
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
+    out.push('"');
+}
+
+/// Appends one compact JSON document to a caller-owned buffer as it is
+/// described: no intermediate value tree, no per-key allocation. Keys
+/// and values are separated automatically; nesting is a closure.
+///
+/// ```
+/// use chain_nn_serve::json::JsonWriter;
+///
+/// let mut out = String::new();
+/// JsonWriter::new(&mut out).obj(|w| {
+///     w.field("ok", true).field("fps", 326.5);
+///     w.key("idx").arr(|w| {
+///         w.value(1u64).value(2u64);
+///     });
+/// });
+/// assert_eq!(out, r#"{"ok":true,"fps":326.5,"idx":[1,2]}"#);
+/// ```
+pub struct JsonWriter<'b> {
+    out: &'b mut String,
+    /// Whether the next key or array element needs a leading comma.
+    comma: bool,
+}
+
+impl<'b> JsonWriter<'b> {
+    /// A writer appending to `out`.
+    pub fn new(out: &'b mut String) -> Self {
+        JsonWriter { out, comma: false }
+    }
+
+    fn separate(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+    }
+
+    /// Writes an object key; the next value written is its value.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.separate();
+        write_escaped(self.out, key);
+        self.out.push(':');
+        self.comma = false;
+        self
+    }
+
+    /// Writes one scalar value (an object member's value after
+    /// [`JsonWriter::key`], or an array element).
+    pub fn value(&mut self, value: impl WriteJson) -> &mut Self {
+        self.separate();
+        value.write_json(self.out);
+        self.comma = true;
+        self
+    }
+
+    /// Writes one `"key":value` member.
+    pub fn field(&mut self, key: &str, value: impl WriteJson) -> &mut Self {
+        self.key(key).value(value)
+    }
+
+    /// Writes an object whose members `body` writes.
+    pub fn obj(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.container('{', '}', body)
+    }
+
+    /// Writes an array whose elements `body` writes.
+    pub fn arr(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.container('[', ']', body)
+    }
+
+    fn container(&mut self, open: char, close: char, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.separate();
+        self.out.push(open);
+        self.comma = false;
+        body(self);
+        self.out.push(close);
+        self.comma = true;
+        self
+    }
+}
+
+// ---------------------------------------------------------------- parser
 
 /// Parse failure: a message plus the byte offset it happened at.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,136 +265,211 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-impl Json {
-    /// Parses one complete JSON document (trailing whitespace allowed,
-    /// trailing garbage not).
+/// One tape token. Containers hold the tape index just past their last
+/// token, so a walker skips a nested value in one step; an object's
+/// members follow its header as key (`Str`) / value pairs.
+#[derive(Debug, Clone, PartialEq)]
+enum Tok<'a> {
+    Null,
+    Bool(bool),
+    Num(f64),
+    Str(Cow<'a, str>),
+    Arr(usize),
+    Obj(usize),
+}
+
+/// A parsed JSON document: the flat token tape of one input line,
+/// borrowing its strings from that line.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Doc<'a> {
+    tape: Vec<Tok<'a>>,
+}
+
+impl<'a> Doc<'a> {
+    /// Parses one complete JSON document (surrounding whitespace
+    /// allowed, trailing garbage not).
     ///
     /// # Errors
     ///
     /// Returns a [`JsonError`] locating the first offending byte.
-    pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { text, at: 0 };
+    pub fn parse(text: &'a str) -> Result<Doc<'a>, JsonError> {
+        let mut p = Parser {
+            text,
+            at: 0,
+            // About one token per 8 bytes of a protocol line.
+            tape: Vec::with_capacity(text.len() / 8 + 4),
+            open: Vec::new(),
+        };
         p.skip_ws();
-        let value = p.value()?;
+        p.document()?;
         p.skip_ws();
-        if p.at != p.bytes().len() {
+        if p.at != text.len() {
             return Err(p.err("trailing characters after the document"));
         }
-        Ok(value)
+        Ok(Doc { tape: p.tape })
     }
 
-    /// The value of `key`, when this is an object that has it.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            // rev(): duplicate keys keep the last occurrence.
-            Json::Obj(fields) => fields.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
+    /// The document's top-level value.
+    pub fn root(&self) -> Node<'_> {
+        Node {
+            tape: &self.tape,
+            at: 0,
+        }
+    }
+}
+
+/// One value inside a [`Doc`]: a cheap copyable cursor.
+#[derive(Debug, Clone, Copy)]
+pub struct Node<'d> {
+    tape: &'d [Tok<'d>],
+    at: usize,
+}
+
+impl<'d> Node<'d> {
+    fn tok(self) -> &'d Tok<'d> {
+        &self.tape[self.at]
+    }
+
+    /// Tape index just past this value.
+    fn end(self) -> usize {
+        match self.tok() {
+            Tok::Arr(end) | Tok::Obj(end) => *end,
+            _ => self.at + 1,
+        }
+    }
+
+    /// The value of `key`, when this is an object that has it; the last
+    /// occurrence wins when the key repeats.
+    pub fn get(self, key: &str) -> Option<Node<'d>> {
+        self.fields()
+            .filter(|(k, _)| *k == key)
+            .last()
+            .map(|(_, v)| v)
+    }
+
+    /// The members of an object in document order, duplicates included
+    /// (none when this is not an object).
+    pub fn fields(self) -> Fields<'d> {
+        let end = match self.tok() {
+            Tok::Obj(end) => *end,
+            _ => self.at,
+        };
+        Fields {
+            tape: self.tape,
+            at: self.at + 1,
+            end,
+        }
+    }
+
+    /// The elements of an array, when this is one.
+    pub fn items(self) -> Option<Items<'d>> {
+        match self.tok() {
+            Tok::Arr(end) => Some(Items {
+                tape: self.tape,
+                at: self.at + 1,
+                end: *end,
+            }),
             _ => None,
         }
     }
 
+    /// Whether this is an object.
+    pub fn is_obj(self) -> bool {
+        matches!(self.tok(), Tok::Obj(_))
+    }
+
     /// The string payload, when this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
+    pub fn as_str(self) -> Option<&'d str> {
+        match self.tok() {
+            Tok::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The boolean, when this is `true` or `false`.
+    pub fn as_bool(self) -> Option<bool> {
+        match self.tok() {
+            Tok::Bool(b) => Some(*b),
             _ => None,
         }
     }
 
     /// The numeric payload, when this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
+    pub fn as_f64(self) -> Option<f64> {
+        match self.tok() {
+            Tok::Num(n) => Some(*n),
             _ => None,
         }
     }
 
     /// The numeric payload as an exact non-negative integer (rejects
     /// fractions, negatives and anything above 2^53).
-    pub fn as_u64(&self) -> Option<u64> {
+    pub fn as_u64(self) -> Option<u64> {
         let n = self.as_f64()?;
         if n < 0.0 || n.fract() != 0.0 || n > 9_007_199_254_740_992.0 {
             return None;
         }
         Some(n as u64)
     }
+}
 
-    /// The element list, when this is an array.
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
+/// Iterator over an object's `(key, value)` members.
+#[derive(Debug, Clone)]
+pub struct Fields<'d> {
+    tape: &'d [Tok<'d>],
+    at: usize,
+    end: usize,
+}
+
+impl<'d> Iterator for Fields<'d> {
+    type Item = (&'d str, Node<'d>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.at >= self.end {
+            return None;
         }
+        let Tok::Str(key) = &self.tape[self.at] else {
+            return None;
+        };
+        let value = Node {
+            tape: self.tape,
+            at: self.at + 1,
+        };
+        self.at = value.end();
+        Some((key, value))
     }
 }
 
-/// Writes `s` JSON-escaped, with surrounding quotes.
-pub fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// Iterator over an array's elements.
+#[derive(Debug, Clone)]
+pub struct Items<'d> {
+    tape: &'d [Tok<'d>],
+    at: usize,
+    end: usize,
 }
 
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    write!(f, "{n}")
-                } else {
-                    // Not representable in JSON; null is the least-bad
-                    // lossy choice and never occurs for protocol data
-                    // (specs validate finiteness).
-                    f.write_str("null")
-                }
-            }
-            Json::Str(s) => {
-                let mut buf = String::with_capacity(s.len() + 2);
-                write_escaped(&mut buf, s);
-                f.write_str(&buf)
-            }
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(fields) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    let mut key = String::with_capacity(k.len() + 2);
-                    write_escaped(&mut key, k);
-                    write!(f, "{key}:{v}")?;
-                }
-                f.write_str("}")
-            }
+impl<'d> Iterator for Items<'d> {
+    type Item = Node<'d>;
+
+    fn next(&mut self) -> Option<Node<'d>> {
+        if self.at >= self.end {
+            return None;
         }
+        let item = Node {
+            tape: self.tape,
+            at: self.at,
+        };
+        self.at = item.end();
+        Some(item)
     }
 }
 
 struct Parser<'a> {
     text: &'a str,
     at: usize,
+    tape: Vec<Tok<'a>>,
+    /// Tape indices of the containers still open, innermost last.
+    open: Vec<usize>,
 }
 
 impl<'a> Parser<'a> {
@@ -208,77 +503,101 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, JsonError> {
+    /// Parses one value and everything nested in it, iteratively:
+    /// containers are opened onto `open` and closed as their last
+    /// element ends.
+    fn document(&mut self) -> Result<(), JsonError> {
+        'value: loop {
+            match self.peek() {
+                Some(open @ (b'[' | b'{')) => {
+                    self.at += 1;
+                    self.open.push(self.tape.len());
+                    self.tape.push(if open == b'[' {
+                        Tok::Arr(0)
+                    } else {
+                        Tok::Obj(0)
+                    });
+                    self.skip_ws();
+                    let close = if open == b'[' { b']' } else { b'}' };
+                    if self.peek() == Some(close) {
+                        self.at += 1;
+                        self.close();
+                    } else {
+                        if open == b'{' {
+                            self.member_key()?;
+                        }
+                        continue 'value;
+                    }
+                }
+                _ => {
+                    let tok = self.scalar()?;
+                    self.tape.push(tok);
+                }
+            }
+            // A value just ended: close every container it completes,
+            // or move on to the next element of the innermost one.
+            while let Some(&top) = self.open.last() {
+                let in_array = matches!(self.tape[top], Tok::Arr(_));
+                self.skip_ws();
+                match (self.peek(), in_array) {
+                    (Some(b','), _) => {
+                        self.at += 1;
+                        self.skip_ws();
+                        if !in_array {
+                            self.member_key()?;
+                        }
+                        continue 'value;
+                    }
+                    (Some(b']'), true) | (Some(b'}'), false) => {
+                        self.at += 1;
+                        self.close();
+                    }
+                    (_, true) => return Err(self.err("expected ',' or ']'")),
+                    (_, false) => return Err(self.err("expected ',' or '}'")),
+                }
+            }
+            return Ok(());
+        }
+    }
+
+    /// Closes the innermost open container at the current tape end.
+    fn close(&mut self) {
+        if let Some(start) = self.open.pop() {
+            let end = self.tape.len();
+            if let Tok::Arr(e) | Tok::Obj(e) = &mut self.tape[start] {
+                *e = end;
+            }
+        }
+    }
+
+    /// An object member's `"key" :`, leaving the cursor on its value.
+    fn member_key(&mut self) -> Result<(), JsonError> {
+        let key = self.string()?;
+        self.tape.push(Tok::Str(key));
+        self.skip_ws();
+        self.eat(b':')?;
+        self.skip_ws();
+        Ok(())
+    }
+
+    fn literal(&mut self, lit: &str, tok: Tok<'a>) -> Result<Tok<'a>, JsonError> {
         if self.bytes()[self.at..].starts_with(lit.as_bytes()) {
             self.at += lit.len();
-            Ok(value)
+            Ok(tok)
         } else {
             Err(self.err(&format!("expected '{lit}'")))
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    fn scalar(&mut self) -> Result<Tok<'a>, JsonError> {
         match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'n') => self.literal("null", Tok::Null),
+            Some(b't') => self.literal("true", Tok::Bool(true)),
+            Some(b'f') => self.literal("false", Tok::Bool(false)),
+            Some(b'"') => Ok(Tok::Str(self.string()?)),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.at += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b']') => {
-                    self.at += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.at += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b'}') => {
-                    self.at += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
         }
     }
 
@@ -294,119 +613,114 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// A string, borrowed from the input when it holds no escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.eat(b'"')?;
-        let mut out = String::new();
+        let start = self.at;
+        // Fast path: scan to the closing quote. `"` and `\` are ASCII,
+        // so they never occur inside a multi-byte UTF-8 sequence.
+        let run = self.bytes()[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .map_or(self.text.len(), |n| start + n);
+        self.at = run;
+        if self.peek() == Some(b'"') {
+            self.at += 1;
+            return Ok(Cow::Borrowed(&self.text[start..run]));
+        }
+        let mut out = String::from(&self.text[start..run]);
         loop {
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.at += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.at += 1;
-                    match self.peek() {
-                        Some(b'"') => {
-                            out.push('"');
-                            self.at += 1;
-                        }
-                        Some(b'\\') => {
-                            out.push('\\');
-                            self.at += 1;
-                        }
-                        Some(b'/') => {
-                            out.push('/');
-                            self.at += 1;
-                        }
-                        Some(b'b') => {
-                            out.push('\u{0008}');
-                            self.at += 1;
-                        }
-                        Some(b'f') => {
-                            out.push('\u{000c}');
-                            self.at += 1;
-                        }
-                        Some(b'n') => {
-                            out.push('\n');
-                            self.at += 1;
-                        }
-                        Some(b'r') => {
-                            out.push('\r');
-                            self.at += 1;
-                        }
-                        Some(b't') => {
-                            out.push('\t');
-                            self.at += 1;
-                        }
+                    let c = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{0008}',
+                        Some(b'f') => '\u{000c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
                         Some(b'u') => {
                             self.at += 1;
-                            let hi = self.hex4()?;
-                            let code = if (0xd800..0xdc00).contains(&hi) {
-                                // Surrogate pair: a second \uXXXX must follow.
-                                if self.peek() == Some(b'\\') {
-                                    self.at += 1;
-                                    self.eat(b'u')?;
-                                    let lo = self.hex4()?;
-                                    if !(0xdc00..0xe000).contains(&lo) {
-                                        return Err(self.err("unpaired surrogate"));
-                                    }
-                                    0x10000
-                                        + ((u32::from(hi) - 0xd800) << 10)
-                                        + (u32::from(lo) - 0xdc00)
-                                } else {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                            } else if (0xdc00..0xe000).contains(&hi) {
-                                return Err(self.err("unpaired surrogate"));
-                            } else {
-                                u32::from(hi)
-                            };
-                            out.push(
-                                char::from_u32(code).ok_or_else(|| self.err("bad code point"))?,
-                            );
+                            out.push(self.unicode_escape()?);
+                            continue;
                         }
                         _ => return Err(self.err("bad escape")),
-                    }
+                    };
+                    out.push(c);
+                    self.at += 1;
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar; `at` only ever advances
-                    // past ASCII or whole chars, so it is a boundary.
-                    let c = self.text[self.at..].chars().next().expect("non-empty");
-                    out.push(c);
-                    self.at += c.len_utf8();
+                    // Copy up to the next special byte; the cursor only
+                    // ever stops on ASCII, so it stays a char boundary.
+                    let from = self.at;
+                    self.at = self.bytes()[from..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .map_or(self.text.len(), |n| from + n);
+                    out.push_str(&self.text[from..self.at]);
                 }
             }
         }
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// The code point of a `\uXXXX` escape (cursor after the `u`),
+    /// joining a surrogate pair.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let hi = self.hex4()?;
+        let code = if (0xd800..0xdc00).contains(&hi) {
+            // Surrogate pair: a second \uXXXX must follow.
+            if self.peek() != Some(b'\\') {
+                return Err(self.err("unpaired surrogate"));
+            }
+            self.at += 1;
+            self.eat(b'u')?;
+            let lo = self.hex4()?;
+            if !(0xdc00..0xe000).contains(&lo) {
+                return Err(self.err("unpaired surrogate"));
+            }
+            0x10000 + ((u32::from(hi) - 0xd800) << 10) + (u32::from(lo) - 0xdc00)
+        } else if (0xdc00..0xe000).contains(&hi) {
+            return Err(self.err("unpaired surrogate"));
+        } else {
+            u32::from(hi)
+        };
+        char::from_u32(code).ok_or_else(|| self.err("bad code point"))
+    }
+
+    fn number(&mut self) -> Result<Tok<'a>, JsonError> {
         let start = self.at;
+        let digits = |p: &mut Self| {
+            while matches!(p.peek(), Some(c) if c.is_ascii_digit()) {
+                p.at += 1;
+            }
+        };
         if self.peek() == Some(b'-') {
             self.at += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.at += 1;
-        }
+        digits(self);
         if self.peek() == Some(b'.') {
             self.at += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.at += 1;
-            }
+            digits(self);
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.at += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.at += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.at += 1;
-            }
+            digits(self);
         }
         self.text[start..self.at]
             .parse::<f64>()
-            .map(Json::Num)
+            .map(Tok::Num)
             .map_err(|_| self.err("bad number"))
     }
 }
@@ -415,34 +729,67 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
+    fn encode(value: impl WriteJson) -> String {
+        let mut out = String::new();
+        JsonWriter::new(&mut out).value(value);
+        out
+    }
+
     #[test]
     fn parses_scalars() {
-        assert_eq!(Json::parse("null").unwrap(), Json::Null);
-        assert_eq!(Json::parse(" true ").unwrap(), Json::Bool(true));
-        assert_eq!(Json::parse("false").unwrap(), Json::Bool(false));
-        assert_eq!(Json::parse("-12.5e2").unwrap(), Json::Num(-1250.0));
-        assert_eq!(Json::parse("\"hi\"").unwrap(), Json::Str("hi".into()));
+        let num = |text| Doc::parse(text).unwrap().root().as_f64();
+        assert_eq!(Doc::parse("null").unwrap().tape, vec![Tok::Null]);
+        assert_eq!(Doc::parse(" true ").unwrap().root().as_bool(), Some(true));
+        assert_eq!(Doc::parse("false").unwrap().root().as_bool(), Some(false));
+        assert_eq!(num("-12.5e2"), Some(-1250.0));
+        assert_eq!(Doc::parse("\"hi\"").unwrap().root().as_str(), Some("hi"));
     }
 
     #[test]
     fn parses_nested_structures() {
-        let doc = r#"{"a": [1, 2, {"b": "x"}], "c": null, "d": {"e": true}}"#;
-        let v = Json::parse(doc).unwrap();
-        assert_eq!(v.get("c"), Some(&Json::Null));
-        let arr = v.get("a").unwrap().as_array().unwrap();
+        let doc = Doc::parse(r#"{"a": [1, 2, {"b": "x"}], "c": null, "d": {"e": true}}"#).unwrap();
+        let v = doc.root();
+        assert!(v
+            .get("c")
+            .is_some_and(|c| c.as_f64().is_none() && !c.is_obj()));
+        let arr: Vec<Node> = v.get("a").unwrap().items().unwrap().collect();
         assert_eq!(arr.len(), 3);
         assert_eq!(arr[2].get("b").unwrap().as_str(), Some("x"));
-        assert_eq!(v.get("d").unwrap().get("e"), Some(&Json::Bool(true)));
+        assert_eq!(v.get("d").unwrap().get("e").unwrap().as_bool(), Some(true));
+        let keys: Vec<&str> = v.fields().map(|(k, _)| k).collect();
+        assert_eq!(keys, ["a", "c", "d"]);
+        // Empty containers, and lookups on non-objects.
+        let doc = Doc::parse(r#"[{}, [], [[]]]"#).unwrap();
+        let items: Vec<Node> = doc.root().items().unwrap().collect();
+        assert_eq!(items.len(), 3);
+        assert_eq!(items[0].fields().count(), 0);
+        assert_eq!(items[2].items().unwrap().count(), 1);
+        assert!(doc.root().get("x").is_none());
+    }
+
+    #[test]
+    fn escape_free_strings_borrow_from_the_line() {
+        let doc = Doc::parse(r#"{"plain":"abc","esc":"a\nb"}"#).unwrap();
+        assert!(matches!(doc.tape[1], Tok::Str(Cow::Borrowed("plain"))));
+        assert!(matches!(doc.tape[2], Tok::Str(Cow::Borrowed("abc"))));
+        assert!(matches!(&doc.tape[4], Tok::Str(Cow::Owned(s)) if s == "a\nb"));
     }
 
     #[test]
     fn escapes_round_trip() {
-        let original = Json::Str("a\"b\\c\nd\te\u{0001}f/🦀".into());
-        let encoded = original.to_string();
-        assert_eq!(Json::parse(&encoded).unwrap(), original);
+        let original = "a\"b\\c\nd\te\u{0001}\u{001f}f/🦀\r\u{7f}";
+        let encoded = encode(original);
+        assert_eq!(
+            encoded,
+            "\"a\\\"b\\\\c\\nd\\te\\u0001\\u001ff/🦀\\r\u{7f}\""
+        );
+        assert_eq!(
+            Doc::parse(&encoded).unwrap().root().as_str(),
+            Some(original)
+        );
         // Explicit escape forms parse too.
-        let v = Json::parse(r#""\u0041\u00e9\ud83e\udd80\/""#).unwrap();
-        assert_eq!(v.as_str(), Some("Aé🦀/"));
+        let doc = Doc::parse(r#""\u0041\u00e9\ud83e\udd80\/\b\f""#).unwrap();
+        assert_eq!(doc.root().as_str(), Some("Aé🦀/\u{8}\u{c}"));
     }
 
     #[test]
@@ -451,14 +798,30 @@ mod tests {
             0.1,
             1.0 / 3.0,
             700.0,
+            -5.0,
             1e-300,
+            1e15,
+            1e21,
             f64::MAX,
             -0.0,
             123.456_789_012_345_67,
         ] {
-            let encoded = Json::Num(x).to_string();
-            let back = Json::parse(&encoded).unwrap().as_f64().unwrap();
+            let encoded = encode(x);
+            assert_eq!(encoded, format!("{x}"), "same digits as Display");
+            let back = Doc::parse(&encoded).unwrap().root().as_f64().unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{x} re-parsed as {back}");
+        }
+        assert_eq!(encode(f64::NAN), "null");
+        assert_eq!(encode(f64::NEG_INFINITY), "null");
+    }
+
+    #[test]
+    fn integers_print_as_the_double_the_wire_carries() {
+        assert_eq!(encode(0u64), "0");
+        assert_eq!(encode(576usize), "576");
+        assert_eq!(encode(1u64 << 53), "9007199254740992");
+        for n in [(1u64 << 53) + 1, 1 << 60, u64::MAX] {
+            assert_eq!(encode(n), format!("{}", n as f64));
         }
     }
 
@@ -468,32 +831,77 @@ mod tests {
             "",
             "{",
             "[1,",
+            "[1,]",
             "{\"a\"}",
+            "{\"a\":1,}",
             "{'a':1}",
             "tru",
             "1.2.3",
+            "-",
             "\"\\q\"",
             "\"\u{0009}\"",
+            "\"abc",
             "[1] []",
             "nan",
             "\"\\ud800x\"",
+            "\"\\udc00\"",
+            "\"\\u12\"",
         ] {
-            assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+            assert!(Doc::parse(bad).is_err(), "{bad:?} should fail");
         }
     }
 
     #[test]
+    fn errors_locate_the_offending_byte() {
+        let at = |text| Doc::parse(text).unwrap_err();
+        assert_eq!(at("[1 2]").message, "expected ',' or ']'");
+        assert_eq!(at("[1 2]").at, 3);
+        assert_eq!(at(r#"{"a":1 "b":2}"#).at, 7);
+        assert_eq!(at(r#"{"a" 1}"#).message, "expected ':'");
+        assert_eq!(
+            at("[1] x").message,
+            "trailing characters after the document"
+        );
+        assert_eq!(at(r#""a\qb""#).at, 3);
+    }
+
+    #[test]
+    fn deep_nesting_parses_without_recursion() {
+        let depth = 200_000;
+        let text = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let doc = Doc::parse(&text).unwrap();
+        assert_eq!(doc.tape.len(), depth);
+        assert!(Doc::parse(&"[".repeat(depth)).is_err());
+    }
+
+    #[test]
     fn as_u64_is_strict() {
-        assert_eq!(Json::parse("576").unwrap().as_u64(), Some(576));
-        assert_eq!(Json::parse("0").unwrap().as_u64(), Some(0));
-        assert_eq!(Json::parse("-1").unwrap().as_u64(), None);
-        assert_eq!(Json::parse("1.5").unwrap().as_u64(), None);
-        assert_eq!(Json::parse("1e300").unwrap().as_u64(), None);
+        let u = |text| Doc::parse(text).unwrap().root().as_u64();
+        assert_eq!(u("576"), Some(576));
+        assert_eq!(u("0"), Some(0));
+        assert_eq!(u("9007199254740992"), Some(1 << 53));
+        assert_eq!(u("9007199254740994"), None);
+        assert_eq!(u("-1"), None);
+        assert_eq!(u("1.5"), None);
+        assert_eq!(u("1e300"), None);
     }
 
     #[test]
     fn duplicate_keys_keep_the_last() {
-        let v = Json::parse(r#"{"a": 1, "a": 2}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_f64(), Some(2.0));
+        let doc = Doc::parse(r#"{"a": 1, "a": 2}"#).unwrap();
+        assert_eq!(doc.root().get("a").unwrap().as_f64(), Some(2.0));
+        assert_eq!(doc.root().fields().count(), 2);
+    }
+
+    #[test]
+    fn writer_separates_members_and_elements() {
+        let mut out = String::from("prefix:");
+        JsonWriter::new(&mut out).obj(|w| {
+            w.field("a", 1u64).key("b").arr(|w| {
+                w.obj(|_| {}).arr(|_| {}).value("x");
+            });
+            w.field("c\"", false);
+        });
+        assert_eq!(out, r#"prefix:{"a":1,"b":[{},[],"x"],"c\"":false}"#);
     }
 }

@@ -83,7 +83,7 @@ use chain_nn_tuner::{
     StrategyKind, TuneRequest, Tuned,
 };
 
-use crate::json::Json;
+use crate::json::{Doc, JsonWriter, Node};
 
 /// Malformed wire data (unparseable JSON, missing/mistyped fields).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,7 +170,7 @@ pub enum Request {
 /// What one sweep did, without shipping every outcome back: sizes,
 /// cache traffic and the Pareto-optimal indices into the grid's
 /// deterministic point order.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SweepSummary {
     /// Points in the grid.
     pub points: usize,
@@ -214,7 +214,7 @@ pub struct FrontierEntry {
 
 /// What one tune did: the winner (if any configuration was feasible)
 /// plus the evaluation-count accounting proving search ≪ sweep.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TuneSummary {
     /// The chosen configuration, its aggregated workload metrics and
     /// whether it satisfies the budget; `None` when every visited
@@ -244,7 +244,7 @@ pub struct TuneSummary {
 /// than mirroring its fields) keeps the wire and the tuner from
 /// drifting: a field added to the step type shows up here by
 /// construction.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FrontierStepSummary {
     /// Zero-based step index, in sweep order.
     pub step: usize,
@@ -258,7 +258,7 @@ pub struct FrontierStepSummary {
 /// Terminal line of a streaming frontier tune
 /// ([`Response::TuneFrontierDone`]): the frontier across the steps and
 /// the sweep-wide accounting.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FrontierDoneSummary {
     /// Steps the sweep ran (= step lines that preceded this line).
     pub steps: usize,
@@ -307,7 +307,7 @@ pub struct ShardStat {
 }
 
 /// Daemon-side counters reported by [`Request::Stats`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServerStats {
     /// Distinct points in the shared cache.
     pub cached_points: usize,
@@ -360,7 +360,7 @@ pub struct ServerStats {
 /// [`Response::MetricsHistory`] windows and [`Response::WatchSample`]
 /// lines: the request count and latency quantiles observed for one
 /// `type` label over one window.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HistoryTypeWindow {
     /// The request type label (`eval`, `sweep`, ...).
     pub kind: String,
@@ -374,7 +374,7 @@ pub struct HistoryTypeWindow {
 
 /// One aggregation window of a [`Response::MetricsHistory`] reply:
 /// deltas over the trailing `window_s` seconds of sampler history.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HistoryWindow {
     /// Nominal window length, seconds (1, 10 or 60).
     pub window_s: f64,
@@ -392,7 +392,7 @@ pub struct HistoryWindow {
 }
 
 /// The [`Request::MetricsHistory`] reply: the sampler's windowed view.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsHistory {
     /// Sampler tick interval, seconds.
     pub interval_s: f64,
@@ -407,7 +407,7 @@ pub struct MetricsHistory {
 
 /// One sample line of a streaming [`Request::Watch`]: the live
 /// dashboard row the `chain-nn top` command renders.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WatchSample {
     /// Sampler sequence number (monotone since daemon start).
     pub seq: u64,
@@ -547,165 +547,483 @@ pub enum Response {
     },
 }
 
+// ---------------------------------------------------------------- fields
+
+/// How a wire field reads from a decoded node. A present field of the
+/// wrong type is an error naming its key.
+trait FromWire: Sized {
+    /// Whether a message without this field is malformed rather than
+    /// defaulted.
+    const REQUIRED: bool = false;
+
+    fn from_wire(v: Node<'_>, key: &str) -> Result<Self, ProtocolError>;
+}
+
+impl FromWire for u64 {
+    fn from_wire(v: Node<'_>, key: &str) -> Result<u64, ProtocolError> {
+        v.as_u64()
+            .ok_or_else(|| bad(format!("'{key}' must be a non-negative integer")))
+    }
+}
+
+impl FromWire for usize {
+    fn from_wire(v: Node<'_>, key: &str) -> Result<usize, ProtocolError> {
+        u64::from_wire(v, key).map(|n| n as usize)
+    }
+}
+
+impl FromWire for u32 {
+    fn from_wire(v: Node<'_>, key: &str) -> Result<u32, ProtocolError> {
+        u32::try_from(usize::from_wire(v, key)?).map_err(|_| bad(format!("'{key}' out of range")))
+    }
+}
+
+impl FromWire for f64 {
+    fn from_wire(v: Node<'_>, key: &str) -> Result<f64, ProtocolError> {
+        v.as_f64()
+            .ok_or_else(|| bad(format!("'{key}' must be a number")))
+    }
+}
+
+impl FromWire for String {
+    fn from_wire(v: Node<'_>, key: &str) -> Result<String, ProtocolError> {
+        v.as_str()
+            .map(str::to_owned)
+            .ok_or_else(|| bad(format!("'{key}' must be a string")))
+    }
+}
+
+/// Flags (`degraded`, `persistent`) are lenient: anything but `true`
+/// reads as false.
+impl FromWire for bool {
+    fn from_wire(v: Node<'_>, _key: &str) -> Result<bool, ProtocolError> {
+        Ok(v.as_bool() == Some(true))
+    }
+}
+
+/// Index lists (frontier members) are required arrays of exact
+/// non-negative integers.
+impl FromWire for Vec<usize> {
+    const REQUIRED: bool = true;
+
+    fn from_wire(v: Node<'_>, key: &str) -> Result<Vec<usize>, ProtocolError> {
+        v.items()
+            .ok_or_else(|| bad(format!("'{key}' must be an array")))?
+            .map(|i| usize::from_wire(i, key))
+            .collect()
+    }
+}
+
+/// Reads field `key` of `v` into `slot`. An absent field keeps the slot
+/// unless its type is required, or unless `record` names a record whose
+/// fields all are; then absent and mistyped alike are
+/// "`record` field 'key' missing".
+fn take_field<T: FromWire>(
+    v: Node<'_>,
+    key: &str,
+    slot: &mut T,
+    record: Option<&str>,
+) -> Result<(), ProtocolError> {
+    let missing = |record: &str| bad(format!("{record} field '{key}' missing"));
+    match (v.get(key), record) {
+        (Some(f), None) => *slot = T::from_wire(f, key)?,
+        (Some(f), Some(r)) => *slot = T::from_wire(f, key).map_err(|_| missing(r))?,
+        (None, Some(r)) => return Err(missing(r)),
+        (None, None) if T::REQUIRED => return Err(bad(format!("missing '{key}'"))),
+        (None, None) => {}
+    }
+    Ok(())
+}
+
+/// Field `key` of `v`, or `default` when absent.
+fn field<T: FromWire>(v: Node<'_>, key: &str, default: T) -> Result<T, ProtocolError> {
+    let mut slot = default;
+    take_field(v, key, &mut slot, None)?;
+    Ok(slot)
+}
+
+/// Field `key` of `v`, which must be present and well-typed.
+fn required<T: FromWire>(v: Node<'_>, key: &str, otherwise: &str) -> Result<T, ProtocolError> {
+    v.get(key)
+        .and_then(|f| T::from_wire(f, key).ok())
+        .ok_or_else(|| bad(otherwise))
+}
+
+/// Writes a flag that is absent on the wire unless set.
+fn put_flag(w: &mut JsonWriter<'_>, key: &str, on: bool) {
+    if on {
+        w.field(key, true);
+    }
+}
+
+/// Declares the wire table of one flat record. Each `"key" => field`
+/// entry is a stored field, each `"key" => method()` entry a derived,
+/// encode-only one, and the entry order is the wire order. Expands to
+/// `$put`, which writes the members into an open object, and `$take`,
+/// which reads them back onto a base value with [`take_field`]: absent
+/// fields keep their base value (or are errors, when `$record` names a
+/// record whose fields are all required), mistyped ones are errors.
+macro_rules! wire_record {
+    (@take $x:ident, $v:ident, $record:expr, $key:literal, $field:ident) => {
+        take_field($v, $key, &mut $x.$field, $record)?
+    };
+    (@take $x:ident, $v:ident, $record:expr, $key:literal, $field:ident ()) => {};
+    (
+        $ty:ty => $put:ident, $take:ident, $record:expr;
+        $($key:literal => $field:ident $(($($call:tt)*))?,)+
+    ) => {
+        fn $put(x: &$ty, w: &mut JsonWriter<'_>) {
+            $(w.field($key, &x.$field $(($($call)*))?);)+
+        }
+
+        fn $take(v: Node<'_>, mut x: $ty) -> Result<$ty, ProtocolError> {
+            $(wire_record!(@take x, v, $record, $key, $field $(($($call)*))?);)+
+            Ok(x)
+        }
+    };
+}
+
+wire_record! {
+    DesignPoint => put_point, take_point, None;
+    "net" => net,
+    "pes" => pes,
+    "freq_mhz" => freq_mhz,
+    "kmem_depth" => kmem_depth,
+    "imem_kb" => imem_kb,
+    "omem_kb" => omem_kb,
+    "word_bits" => word_bits,
+    "batch" => batch,
+}
+
+wire_record! {
+    PointResult => put_result, take_result, Some("result");
+    "fps" => fps,
+    "achieved_gops" => achieved_gops,
+    "peak_gops" => peak_gops,
+    "chip_mw" => chip_mw,
+    "dram_mw" => dram_mw,
+    "system_mw" => system_mw(),
+    "gops_per_watt" => gops_per_watt(),
+    "gates_k" => gates_k,
+    "sram_kb" => sram_kb,
+    "sqnr_db" => sqnr_db,
+}
+
+wire_record! {
+    MixResult => put_mix_result, take_mix_result, Some("tune result");
+    "fps" => fps,
+    "chip_mw" => chip_mw,
+    "dram_mw" => dram_mw,
+    "system_mw" => system_mw(),
+    "peak_gops" => peak_gops,
+    "gops_per_watt" => gops_per_watt(),
+    "gates_k" => gates_k,
+    "sram_kb" => sram_kb,
+    "sqnr_db" => sqnr_db,
+}
+
+wire_record! {
+    Objectives => put_objectives, take_objectives, None;
+    "fps" => fps,
+    "system_mw" => system_mw,
+    "gates_k" => gates_k,
+    "sqnr_db" => sqnr_db,
+}
+
+wire_record! {
+    SweepSummary => put_sweep, take_sweep, None;
+    "points" => points,
+    "feasible" => feasible,
+    "cache_hits" => cache_hits,
+    "cache_misses" => cache_misses,
+    "wall_ms" => wall_ms,
+    "frontier_3d" => frontier_3d,
+    "frontier_sqnr" => frontier_sqnr,
+}
+
+wire_record! {
+    TuneSummary => put_tune_counts, take_tune_counts, None;
+    "evaluations" => evaluations,
+    "cache_hits" => cache_hits,
+    "cache_misses" => cache_misses,
+    "rounds" => rounds,
+    "exhaustive_points" => exhaustive_points,
+}
+
+wire_record! {
+    FrontierStepSummary => put_step_position, take_step_position, None;
+    "step" => step,
+    "steps" => steps,
+}
+
+wire_record! {
+    FrontierStep => put_step_counts, take_step_counts, None;
+    "evaluations" => evaluations,
+    "fresh_evaluations" => fresh_evaluations,
+    "cache_hits" => cache_hits,
+    "cache_misses" => cache_misses,
+    "rounds" => rounds,
+}
+
+wire_record! {
+    FrontierDoneSummary => put_frontier_done, take_frontier_done, None;
+    "steps" => steps,
+    "frontier" => frontier,
+    "evaluations" => evaluations,
+    "standalone_evaluations" => standalone_evaluations,
+    "cache_hits" => cache_hits,
+    "cache_misses" => cache_misses,
+    "exhaustive_points" => exhaustive_points,
+}
+
+wire_record! {
+    ServerStats => put_stats, take_stats, None;
+    "cached_points" => cached_points,
+    "hits" => hits,
+    "misses" => misses,
+    "hit_rate" => hit_rate,
+    "requests" => requests,
+    "active_jobs" => active_jobs,
+    "queue_capacity" => queue_capacity,
+    "open_connections" => open_connections,
+    "max_connections" => max_connections,
+    "threads" => threads,
+    "loaded_from_disk" => loaded_from_disk,
+    "persistent" => persistent,
+    "uptime_s" => uptime_s,
+    "inflight_requests" => inflight_requests,
+    "queue_depth" => queue_depth,
+    "slos" => slos,
+    "slo_breach_ticks" => slo_breach_ticks,
+}
+
+wire_record! {
+    MetricsHistory => put_history, take_history, None;
+    "interval_s" => interval_s,
+    "samples" => samples,
+    "capacity" => capacity,
+}
+
+wire_record! {
+    HistoryWindow => put_window, take_window, None;
+    "window_s" => window_s,
+    "duration_s" => duration_s,
+    "samples" => samples,
+    "req_per_sec" => req_per_sec,
+    "points_per_sec" => points_per_sec,
+}
+
+wire_record! {
+    HistoryTypeWindow => put_type_window, take_type_window, None;
+    "requests" => requests,
+    "p50_us" => p50_us,
+    "p99_us" => p99_us,
+}
+
+wire_record! {
+    WatchSample => put_watch, take_watch, None;
+    "interval_s" => interval_s,
+    "window_s" => window_s,
+    "req_per_sec" => req_per_sec,
+    "points_per_sec" => points_per_sec,
+    "inflight" => inflight,
+    "active_jobs" => active_jobs,
+    "queue_depth" => queue_depth,
+    "cache_hit_rate" => cache_hit_rate,
+    "requests_total" => requests_total,
+    "queue_wait_p99_us" => queue_wait_p99_us,
+    "execute_p99_us" => execute_p99_us,
+}
+
 // ---------------------------------------------------------------- encode
 
-fn num(n: f64) -> Json {
-    Json::Num(n)
-}
-
-fn unum(n: u64) -> Json {
-    Json::Num(n as f64)
-}
-
-fn point_to_json(p: &DesignPoint) -> Json {
-    Json::Obj(vec![
-        ("net".into(), Json::Str(p.net.clone())),
-        ("pes".into(), unum(p.pes as u64)),
-        ("freq_mhz".into(), num(p.freq_mhz)),
-        ("kmem_depth".into(), unum(p.kmem_depth as u64)),
-        ("imem_kb".into(), unum(p.imem_kb as u64)),
-        ("omem_kb".into(), unum(p.omem_kb as u64)),
-        ("word_bits".into(), unum(u64::from(p.word_bits))),
-        ("batch".into(), unum(p.batch as u64)),
-    ])
-}
-
-fn spec_to_json(s: &SweepSpec) -> Json {
-    let us = |axis: &[usize]| Json::Arr(axis.iter().map(|&v| unum(v as u64)).collect());
-    let mut fields = vec![
-        (
-            "nets".into(),
-            Json::Arr(s.nets.iter().map(|n| Json::Str(n.clone())).collect()),
-        ),
-        ("pes".into(), us(&s.pes)),
-        (
-            "freqs_mhz".into(),
-            Json::Arr(s.freqs_mhz.iter().map(|&f| num(f)).collect()),
-        ),
-        ("kmem_depths".into(), us(&s.kmem_depths)),
-        ("imem_kb".into(), us(&s.imem_kb)),
-        ("omem_kb".into(), us(&s.omem_kb)),
-        (
-            "word_bits".into(),
-            Json::Arr(s.word_bits.iter().map(|&b| unum(u64::from(b))).collect()),
-        ),
-        ("batches".into(), us(&s.batches)),
-    ];
-    if let Some(part) = &s.part {
-        fields.push((
-            "part".into(),
-            Json::Obj(vec![
-                ("index".into(), unum(part.index as u64)),
-                ("of".into(), unum(part.of as u64)),
-            ]),
-        ));
-    }
-    Json::Obj(fields)
-}
-
-fn mix_to_json(mix: &WorkloadMix) -> Json {
-    Json::Obj(
-        mix.entries()
-            .iter()
-            .map(|e| (e.net.clone(), num(e.weight)))
-            .collect(),
-    )
-}
-
-fn budget_to_json(b: &Budget) -> Json {
-    let mut fields = Vec::new();
-    if let Some(v) = b.max_system_mw {
-        fields.push(("max_system_mw".to_owned(), num(v)));
-    }
-    if let Some(v) = b.max_gates_k {
-        fields.push(("max_gates_k".to_owned(), num(v)));
-    }
-    if let Some(v) = b.min_fps {
-        fields.push(("min_fps".to_owned(), num(v)));
-    }
-    if let Some(v) = b.min_sqnr_db {
-        fields.push(("min_sqnr_db".to_owned(), num(v)));
-    }
-    Json::Obj(fields)
-}
-
-fn objective_to_json(o: &Objective) -> Json {
-    match o {
-        Objective::Lexicographic(metrics) => Json::Arr(
-            metrics
-                .iter()
-                .map(|m| Json::Str(m.name().to_owned()))
-                .collect(),
-        ),
-        Objective::Scalarized(terms) => Json::Obj(vec![(
-            "scalarized".to_owned(),
-            Json::Obj(
-                terms
-                    .iter()
-                    .map(|(m, w)| (m.name().to_owned(), num(*w)))
-                    .collect(),
-            ),
-        )]),
-    }
-}
-
-fn mix_result_fields(r: &MixResult) -> Vec<(String, Json)> {
-    vec![
-        ("fps".into(), num(r.fps)),
-        ("chip_mw".into(), num(r.chip_mw)),
-        ("dram_mw".into(), num(r.dram_mw)),
-        ("system_mw".into(), num(r.system_mw())),
-        ("peak_gops".into(), num(r.peak_gops)),
-        ("gops_per_watt".into(), num(r.gops_per_watt())),
-        ("gates_k".into(), num(r.gates_k)),
-        ("sram_kb".into(), num(r.sram_kb)),
-        ("sqnr_db".into(), num(r.sqnr_db)),
-    ]
-}
-
-fn result_fields(r: &PointResult) -> Vec<(String, Json)> {
-    vec![
-        ("status".into(), Json::Str("ok".into())),
-        ("fps".into(), num(r.fps)),
-        ("achieved_gops".into(), num(r.achieved_gops)),
-        ("peak_gops".into(), num(r.peak_gops)),
-        ("chip_mw".into(), num(r.chip_mw)),
-        ("dram_mw".into(), num(r.dram_mw)),
-        ("system_mw".into(), num(r.system_mw())),
-        ("gops_per_watt".into(), num(r.gops_per_watt())),
-        ("gates_k".into(), num(r.gates_k)),
-        ("sram_kb".into(), num(r.sram_kb)),
-        ("sqnr_db".into(), num(r.sqnr_db)),
-    ]
-}
-
-fn outcome_fields(outcome: &PointOutcome) -> Vec<(String, Json)> {
+fn put_outcome(outcome: &PointOutcome, w: &mut JsonWriter<'_>) {
     match outcome {
-        PointOutcome::Feasible(r) => result_fields(r),
-        PointOutcome::Infeasible(reason) => vec![
-            ("status".into(), Json::Str("infeasible".into())),
-            ("reason".into(), Json::Str(reason.clone())),
-        ],
+        PointOutcome::Feasible(r) => put_feasible(r, w),
+        PointOutcome::Infeasible(reason) => {
+            w.field("status", "infeasible").field("reason", reason);
+        }
     }
 }
 
-/// The shared field block of `tune` and `tune_frontier` requests.
-fn tune_fields(kind: &str, req: &TuneRequest) -> Vec<(String, Json)> {
-    vec![
-        ("type".into(), Json::Str(kind.into())),
-        ("space".into(), spec_to_json(&req.space)),
-        ("mix".into(), mix_to_json(&req.mix)),
-        ("budget".into(), budget_to_json(&req.budget)),
-        ("objective".into(), objective_to_json(&req.objective)),
-        ("strategy".into(), Json::Str(req.strategy.name().into())),
-        // Seeds ride the JSON number; above 2^53 they would lose
-        // precision, which the decoder rejects rather than silently
-        // aliasing.
-        ("seed".into(), unum(req.seed)),
-    ]
+/// A frontier entry's members: the point, then its feasible result.
+fn put_entry(e: &FrontierEntry, w: &mut JsonWriter<'_>) {
+    w.key("point").obj(|w| put_point(&e.point, w));
+    put_feasible(&e.result, w);
+}
+
+fn put_feasible(r: &PointResult, w: &mut JsonWriter<'_>) {
+    w.field("status", "ok");
+    put_result(r, w);
+}
+
+/// The `found`/`admitted`/`point` + mix-metric block shared by `tune`
+/// replies and `tune_frontier` step lines.
+fn put_tuned(best: &Option<Tuned>, w: &mut JsonWriter<'_>) {
+    w.field("found", best.is_some());
+    if let Some(t) = best {
+        w.field("admitted", t.admitted);
+        w.key("point").obj(|w| put_point(&t.point, w));
+        put_mix_result(&t.result, w);
+    }
+}
+
+fn put_spec(s: &SweepSpec, w: &mut JsonWriter<'_>) {
+    w.field("nets", &s.nets)
+        .field("pes", &s.pes)
+        .field("freqs_mhz", &s.freqs_mhz)
+        .field("kmem_depths", &s.kmem_depths)
+        .field("imem_kb", &s.imem_kb)
+        .field("omem_kb", &s.omem_kb)
+        .field("word_bits", &s.word_bits)
+        .field("batches", &s.batches);
+    if let Some(part) = &s.part {
+        w.key("part").obj(|w| {
+            w.field("index", part.index).field("of", part.of);
+        });
+    }
+}
+
+/// The shared body of `tune` and `tune_frontier` requests.
+fn put_tune_request(req: &TuneRequest, w: &mut JsonWriter<'_>) {
+    w.key("space").obj(|w| put_spec(&req.space, w));
+    w.key("mix").obj(|w| {
+        for e in req.mix.entries() {
+            w.field(&e.net, e.weight);
+        }
+    });
+    w.key("budget").obj(|w| {
+        let b = &req.budget;
+        for (key, value) in [
+            ("max_system_mw", b.max_system_mw),
+            ("max_gates_k", b.max_gates_k),
+            ("min_fps", b.min_fps),
+            ("min_sqnr_db", b.min_sqnr_db),
+        ] {
+            if let Some(v) = value {
+                w.field(key, v);
+            }
+        }
+    });
+    w.key("objective");
+    match &req.objective {
+        Objective::Lexicographic(metrics) => {
+            w.arr(|w| {
+                for m in metrics {
+                    w.value(m.name());
+                }
+            });
+        }
+        Objective::Scalarized(terms) => {
+            w.obj(|w| {
+                w.key("scalarized").obj(|w| {
+                    for (m, weight) in terms {
+                        w.field(m.name(), *weight);
+                    }
+                });
+            });
+        }
+    }
+    // Seeds ride the JSON number; above 2^53 they would lose precision,
+    // which the decoder rejects rather than silently aliasing.
+    w.field("strategy", req.strategy.name())
+        .field("seed", req.seed);
+}
+
+/// One span of a `trace` reply. The span's trace id is implied by the
+/// reply-level `id` and not repeated per span.
+pub(crate) fn put_span(s: &SpanRecord, w: &mut JsonWriter<'_>) {
+    w.field("span", s.span_id)
+        .field("parent", s.parent_id)
+        .field("name", &s.name)
+        .field("start_us", s.start_us)
+        .field("dur_us", s.dur_us);
+    if let Some(worker) = s.worker {
+        w.field("worker", worker);
+    }
+    if s.points != 0 {
+        w.field("points", s.points);
+    }
+}
+
+pub(crate) fn put_metric_entry(entry: &MetricEntry, w: &mut JsonWriter<'_>) {
+    w.field("name", &entry.name);
+    if !entry.labels.is_empty() {
+        w.key("labels").obj(|w| {
+            for (k, v) in &entry.labels {
+                w.field(k, v);
+            }
+        });
+    }
+    match &entry.value {
+        MetricValue::Counter(v) => {
+            w.field("kind", "counter").field("value", *v);
+        }
+        MetricValue::Gauge(v) => {
+            w.field("kind", "gauge").field("value", *v);
+        }
+        MetricValue::Histogram(h) => {
+            w.field("kind", "histogram")
+                .field("count", h.count)
+                .field("sum", h.sum)
+                .field("p50", h.p50)
+                .field("p95", h.p95)
+                .field("p99", h.p99)
+                .field("max", h.max);
+        }
+    }
+}
+
+fn put_type_windows(types: &[HistoryTypeWindow], w: &mut JsonWriter<'_>) {
+    w.key("types").arr(|w| {
+        for t in types {
+            w.obj(|w| {
+                w.field("kind", &t.kind);
+                put_type_window(t, w);
+            });
+        }
+    });
 }
 
 impl Request {
+    /// Every request `type` on the wire, in declaration order.
+    pub const TYPES: [&'static str; 13] = [
+        "eval",
+        "eval_batch",
+        "sweep",
+        "tune",
+        "tune_frontier",
+        "frontier",
+        "stats",
+        "metrics",
+        "metrics_history",
+        "watch",
+        "trace_query",
+        "dump",
+        "shutdown",
+    ];
+
+    /// This request's wire `type` (one of [`Request::TYPES`]), which is
+    /// also its metric label.
+    pub fn kind(&self) -> &'static str {
+        let index = match self {
+            Request::Eval(_) => 0,
+            Request::EvalBatch(_) => 1,
+            Request::Sweep(_) => 2,
+            Request::Tune(_) => 3,
+            Request::TuneFrontier(_) => 4,
+            Request::Frontier { .. } => 5,
+            Request::Stats => 6,
+            Request::Metrics => 7,
+            Request::MetricsHistory => 8,
+            Request::Watch { .. } => 9,
+            Request::TraceQuery { .. } => 10,
+            Request::Dump => 11,
+            Request::Shutdown => 12,
+        };
+        Request::TYPES[index]
+    }
+
     /// Whether this request streams its reply (N result lines followed
     /// by one `done` line) instead of answering one line.
     pub fn is_streaming(&self) -> bool {
@@ -720,104 +1038,85 @@ impl Request {
     /// The single-line wire form (no trailing newline; the transport
     /// adds it).
     pub fn encode(&self) -> String {
-        self.to_json().to_string()
+        self.encode_with_meta(None, None)
     }
 
-    /// The wire form carrying a propagated trace context: the same
-    /// line [`Request::encode`] produces plus a
-    /// `"trace":{"id":...,"parent":...}` field (`parent` omitted when
-    /// 0). Daemons that predate tracing ignore the extra field.
-    pub fn encode_with_trace(&self, ctx: TraceContext) -> String {
-        self.encode_with_meta(Some(ctx), None)
-    }
-
-    /// The wire form carrying the optional trace context plus an
-    /// optional pipelining request id (`"req":N`). A daemon echoes the
-    /// id on **every** reply line for the request — including streamed
-    /// lines and the terminal `done` line — so a pipelining client can
-    /// match replies to requests instead of assuming strict
-    /// request/reply alternation. Daemons predating pipelining ignore
-    /// the field.
+    /// The wire form with a transport envelope: an optional propagated
+    /// trace context (`"trace":{"id":...,"parent":...}`, `parent`
+    /// omitted when 0) and an optional pipelining request id
+    /// (`"req":N`). A daemon echoes the id on **every** reply line for
+    /// the request — including streamed lines and the terminal `done`
+    /// line — so a pipelining client can match replies to requests
+    /// instead of assuming strict request/reply alternation. Daemons
+    /// predating either field ignore it.
     pub fn encode_with_meta(&self, ctx: Option<TraceContext>, req_id: Option<u64>) -> String {
-        let Json::Obj(mut fields) = self.to_json() else {
-            unreachable!("requests encode as objects");
-        };
-        // Right after "type", so the wire reads naturally.
-        let mut at = 1.min(fields.len());
-        if let Some(ctx) = ctx {
-            let mut trace_fields = vec![("id".to_owned(), unum(ctx.id))];
-            if ctx.parent != 0 {
-                trace_fields.push(("parent".to_owned(), unum(ctx.parent)));
-            }
-            fields.insert(at, ("trace".to_owned(), Json::Obj(trace_fields)));
-            at += 1;
-        }
-        if let Some(id) = req_id {
-            fields.insert(at.min(fields.len()), ("req".to_owned(), unum(id)));
-        }
-        Json::Obj(fields).to_string()
+        let mut out = String::new();
+        self.encode_into(RequestMeta { trace: ctx, req_id }, &mut out);
+        out
     }
 
-    fn to_json(&self) -> Json {
+    /// Appends the wire line (no newline) to `out`: `"type"`, then the
+    /// envelope's `"trace"` and `"req"` when present, then the body.
+    /// Sessions reuse one `out` buffer per connection.
+    pub fn encode_into(&self, meta: RequestMeta, out: &mut String) {
+        JsonWriter::new(out).obj(|w| {
+            w.field("type", self.kind());
+            if let Some(ctx) = meta.trace {
+                w.key("trace").obj(|w| {
+                    w.field("id", ctx.id);
+                    if ctx.parent != 0 {
+                        w.field("parent", ctx.parent);
+                    }
+                });
+            }
+            if let Some(id) = meta.req_id {
+                w.field("req", id);
+            }
+            self.put_body(w);
+        });
+    }
+
+    fn put_body(&self, w: &mut JsonWriter<'_>) {
         match self {
-            Request::Eval(point) => Json::Obj(vec![
-                ("type".into(), Json::Str("eval".into())),
-                ("point".into(), point_to_json(point)),
-            ]),
-            Request::EvalBatch(points) => Json::Obj(vec![
-                ("type".into(), Json::Str("eval_batch".into())),
-                (
-                    "points".into(),
-                    Json::Arr(points.iter().map(point_to_json).collect()),
-                ),
-            ]),
-            Request::Sweep(spec) => Json::Obj(vec![
-                ("type".into(), Json::Str("sweep".into())),
-                ("spec".into(), spec_to_json(spec)),
-            ]),
-            Request::Tune(req) => Json::Obj(tune_fields("tune", req)),
+            Request::Eval(point) => {
+                w.key("point").obj(|w| put_point(point, w));
+            }
+            Request::EvalBatch(points) => {
+                w.key("points").arr(|w| {
+                    for p in points {
+                        w.obj(|w| put_point(p, w));
+                    }
+                });
+            }
+            Request::Sweep(spec) => {
+                w.key("spec").obj(|w| put_spec(spec, w));
+            }
+            Request::Tune(req) => put_tune_request(req, w),
             Request::TuneFrontier(req) => {
-                let mut fields = tune_fields("tune_frontier", &req.base);
-                fields.push((
-                    "sweep".into(),
-                    Json::Obj(vec![
-                        ("axis".into(), Json::Str(req.sweep.axis.name().into())),
-                        (
-                            "values".into(),
-                            Json::Arr(req.sweep.values.iter().map(|&v| num(v)).collect()),
-                        ),
-                    ]),
-                ));
-                Json::Obj(fields)
+                put_tune_request(&req.base, w);
+                w.key("sweep").obj(|w| {
+                    w.field("axis", req.sweep.axis.name())
+                        .field("values", &req.sweep.values);
+                });
             }
             Request::Frontier { dims, sqnr, stream } => {
-                let mut fields = vec![
-                    ("type".into(), Json::Str("frontier".into())),
-                    ("dims".into(), unum(u64::from(*dims))),
-                ];
+                w.field("dims", *dims);
                 if *sqnr {
-                    fields.push(("axes".into(), Json::Str("sqnr".into())));
+                    w.field("axes", "sqnr");
                 }
-                if *stream {
-                    fields.push(("stream".into(), Json::Bool(true)));
-                }
-                Json::Obj(fields)
+                put_flag(w, "stream", *stream);
             }
-            Request::Stats => Json::Obj(vec![("type".into(), Json::Str("stats".into()))]),
-            Request::Metrics => Json::Obj(vec![("type".into(), Json::Str("metrics".into()))]),
-            Request::MetricsHistory => {
-                Json::Obj(vec![("type".into(), Json::Str("metrics_history".into()))])
+            Request::Watch { samples } => {
+                w.field("samples", *samples);
             }
-            Request::Watch { samples } => Json::Obj(vec![
-                ("type".into(), Json::Str("watch".into())),
-                ("samples".into(), unum(*samples)),
-            ]),
-            Request::TraceQuery { id } => Json::Obj(vec![
-                ("type".into(), Json::Str("trace_query".into())),
-                ("id".into(), unum(*id)),
-            ]),
-            Request::Dump => Json::Obj(vec![("type".into(), Json::Str("dump".into()))]),
-            Request::Shutdown => Json::Obj(vec![("type".into(), Json::Str("shutdown".into()))]),
+            Request::TraceQuery { id } => {
+                w.field("id", *id);
+            }
+            Request::Stats
+            | Request::Metrics
+            | Request::MetricsHistory
+            | Request::Dump
+            | Request::Shutdown => {}
         }
     }
 }
@@ -825,7 +1124,7 @@ impl Request {
 impl Response {
     /// The single-line wire form (no trailing newline).
     pub fn encode(&self) -> String {
-        self.to_json().to_string()
+        self.encode_with_req(None)
     }
 
     /// The wire form echoing a pipelining request id: the same line
@@ -834,467 +1133,526 @@ impl Response {
     /// this for every line it writes in reply to a request that
     /// carried `"req"`.
     pub fn encode_with_req(&self, req_id: Option<u64>) -> String {
-        let Some(id) = req_id else {
-            return self.encode();
-        };
-        let Json::Obj(mut fields) = self.to_json() else {
-            unreachable!("responses encode as objects");
-        };
-        fields.insert(2.min(fields.len()), ("req".to_owned(), unum(id)));
-        Json::Obj(fields).to_string()
+        let mut out = String::new();
+        self.encode_into(req_id, &mut out);
+        out
     }
 
-    fn to_json(&self) -> Json {
+    /// Appends the wire line (no newline) to `out`: the head (`"ok"`
+    /// plus `"type"`, or `"error"` on failure lines), the envelope's
+    /// `"req"` when present, then the body. Sessions reuse one `out`
+    /// buffer per connection, so a reply allocates nothing.
+    pub fn encode_into(&self, req_id: Option<u64>, out: &mut String) {
+        JsonWriter::new(out).obj(|w| {
+            match self.head() {
+                Ok(kind) => w.field("ok", true).field("type", kind),
+                Err(error) => w.field("ok", false).field("error", error),
+            };
+            if let Some(id) = req_id {
+                w.field("req", id);
+            }
+            self.put_body(w);
+        });
+    }
+
+    /// The wire `type` of a success line, or the `error` of a failure.
+    fn head(&self) -> Result<&'static str, &str> {
+        Ok(match self {
+            Response::Eval { .. } => "eval",
+            Response::EvalBatch { .. } => "eval_batch",
+            Response::Sweep(_) => "sweep",
+            Response::Tune(_) => "tune",
+            Response::TuneFrontierStep(_) | Response::TuneFrontierDone(_) => "tune_frontier",
+            Response::FrontierStreamEntry { .. }
+            | Response::FrontierStreamDone { .. }
+            | Response::Frontier { .. } => "frontier",
+            Response::Stats(_) => "stats",
+            Response::Metrics { .. } => "metrics",
+            Response::MetricsHistory(_) => "metrics_history",
+            Response::WatchSample(_) | Response::WatchDone { .. } => "watch",
+            Response::Trace { .. } => "trace",
+            Response::Dump { .. } => "dump",
+            Response::Shutdown => "shutdown",
+            Response::Busy { .. } => return Err("busy"),
+            Response::Error { message } => return Err(message),
+        })
+    }
+
+    fn put_body(&self, w: &mut JsonWriter<'_>) {
         match self {
             Response::Eval { point, outcome } => {
-                let mut fields = vec![
-                    ("ok".into(), Json::Bool(true)),
-                    ("type".into(), Json::Str("eval".into())),
-                    ("point".into(), point_to_json(point)),
-                ];
-                fields.extend(outcome_fields(outcome));
-                Json::Obj(fields)
+                w.key("point").obj(|w| put_point(point, w));
+                put_outcome(outcome, w);
             }
             Response::EvalBatch {
                 outcomes,
                 cache_hits,
                 cache_misses,
-            } => Json::Obj(vec![
-                ("ok".into(), Json::Bool(true)),
-                ("type".into(), Json::Str("eval_batch".into())),
-                ("cache_hits".into(), unum(*cache_hits)),
-                ("cache_misses".into(), unum(*cache_misses)),
-                (
-                    "outcomes".into(),
-                    Json::Arr(
-                        outcomes
-                            .iter()
-                            .map(|o| Json::Obj(outcome_fields(o)))
-                            .collect(),
-                    ),
-                ),
-            ]),
+            } => {
+                w.field("cache_hits", *cache_hits)
+                    .field("cache_misses", *cache_misses)
+                    .key("outcomes")
+                    .arr(|w| {
+                        for o in outcomes {
+                            w.obj(|w| put_outcome(o, w));
+                        }
+                    });
+            }
             Response::Sweep(s) => {
-                let mut fields = vec![
-                    ("ok".into(), Json::Bool(true)),
-                    ("type".into(), Json::Str("sweep".into())),
-                    ("points".into(), unum(s.points as u64)),
-                    ("feasible".into(), unum(s.feasible as u64)),
-                    ("cache_hits".into(), unum(s.cache_hits)),
-                    ("cache_misses".into(), unum(s.cache_misses)),
-                    ("wall_ms".into(), num(s.wall_ms)),
-                    (
-                        "frontier_3d".into(),
-                        Json::Arr(s.frontier_3d.iter().map(|&i| unum(i as u64)).collect()),
-                    ),
-                    (
-                        "frontier_sqnr".into(),
-                        Json::Arr(s.frontier_sqnr.iter().map(|&i| unum(i as u64)).collect()),
-                    ),
-                ];
+                put_sweep(s, w);
                 if !s.candidates.is_empty() {
-                    fields.push((
-                        "candidates".into(),
-                        Json::Arr(
-                            s.candidates
-                                .iter()
-                                .map(|(i, o)| {
-                                    Json::Obj(vec![
-                                        ("i".into(), unum(*i as u64)),
-                                        ("fps".into(), num(o.fps)),
-                                        ("system_mw".into(), num(o.system_mw)),
-                                        ("gates_k".into(), num(o.gates_k)),
-                                        ("sqnr_db".into(), num(o.sqnr_db)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ));
+                    w.key("candidates").arr(|w| {
+                        for (i, o) in &s.candidates {
+                            w.obj(|w| {
+                                w.field("i", *i);
+                                put_objectives(o, w);
+                            });
+                        }
+                    });
                 }
-                if s.degraded {
-                    fields.push(("degraded".into(), Json::Bool(true)));
-                }
-                Json::Obj(fields)
+                put_flag(w, "degraded", s.degraded);
             }
             Response::Tune(s) => {
-                let mut fields = vec![
-                    ("ok".into(), Json::Bool(true)),
-                    ("type".into(), Json::Str("tune".into())),
-                    ("found".into(), Json::Bool(s.best.is_some())),
-                ];
-                if let Some(t) = &s.best {
-                    fields.push(("admitted".into(), Json::Bool(t.admitted)));
-                    fields.push(("point".into(), point_to_json(&t.point)));
-                    fields.extend(mix_result_fields(&t.result));
-                }
-                fields.extend([
-                    ("evaluations".into(), unum(s.evaluations)),
-                    ("cache_hits".into(), unum(s.cache_hits)),
-                    ("cache_misses".into(), unum(s.cache_misses)),
-                    ("rounds".into(), unum(s.rounds as u64)),
-                    ("exhaustive_points".into(), unum(s.exhaustive_points as u64)),
-                ]);
-                if s.degraded {
-                    fields.push(("degraded".into(), Json::Bool(true)));
-                }
-                Json::Obj(fields)
+                put_tuned(&s.best, w);
+                put_tune_counts(s, w);
+                put_flag(w, "degraded", s.degraded);
             }
             Response::TuneFrontierStep(s) => {
-                let step = &s.result;
-                let mut fields = vec![
-                    ("ok".into(), Json::Bool(true)),
-                    ("type".into(), Json::Str("tune_frontier".into())),
-                    ("step".into(), unum(s.step as u64)),
-                    ("steps".into(), unum(s.steps as u64)),
-                    ("budget_value".into(), num(step.budget_value)),
-                    ("found".into(), Json::Bool(step.best.is_some())),
-                ];
-                if let Some(t) = &step.best {
-                    fields.push(("admitted".into(), Json::Bool(t.admitted)));
-                    fields.push(("point".into(), point_to_json(&t.point)));
-                    fields.extend(mix_result_fields(&t.result));
-                }
-                fields.extend([
-                    ("evaluations".into(), unum(step.evaluations)),
-                    ("fresh_evaluations".into(), unum(step.fresh_evaluations)),
-                    ("cache_hits".into(), unum(step.cache_hits)),
-                    ("cache_misses".into(), unum(step.cache_misses)),
-                    ("rounds".into(), unum(step.rounds as u64)),
-                ]);
-                Json::Obj(fields)
+                put_step_position(s, w);
+                w.field("budget_value", s.result.budget_value);
+                put_tuned(&s.result.best, w);
+                put_step_counts(&s.result, w);
             }
-            Response::TuneFrontierDone(s) => Json::Obj(vec![
-                ("ok".into(), Json::Bool(true)),
-                ("type".into(), Json::Str("tune_frontier".into())),
-                ("done".into(), Json::Bool(true)),
-                ("steps".into(), unum(s.steps as u64)),
-                (
-                    "frontier".into(),
-                    Json::Arr(s.frontier.iter().map(|&i| unum(i as u64)).collect()),
-                ),
-                ("evaluations".into(), unum(s.evaluations)),
-                (
-                    "standalone_evaluations".into(),
-                    unum(s.standalone_evaluations),
-                ),
-                ("cache_hits".into(), unum(s.cache_hits)),
-                ("cache_misses".into(), unum(s.cache_misses)),
-                ("exhaustive_points".into(), unum(s.exhaustive_points as u64)),
-            ]),
+            Response::TuneFrontierDone(s) => {
+                w.field("done", true);
+                put_frontier_done(s, w);
+            }
             Response::FrontierStreamEntry { entry } => {
-                let mut fields = vec![
-                    ("ok".into(), Json::Bool(true)),
-                    ("type".into(), Json::Str("frontier".into())),
-                    ("stream".into(), Json::Bool(true)),
-                    ("point".into(), point_to_json(&entry.point)),
-                ];
-                fields.extend(result_fields(&entry.result));
-                Json::Obj(fields)
+                w.field("stream", true);
+                put_entry(entry, w);
             }
             Response::FrontierStreamDone {
                 dims,
                 entries,
                 degraded,
             } => {
-                let mut fields = vec![
-                    ("ok".into(), Json::Bool(true)),
-                    ("type".into(), Json::Str("frontier".into())),
-                    ("done".into(), Json::Bool(true)),
-                    ("dims".into(), unum(u64::from(*dims))),
-                    ("entries".into(), unum(*entries as u64)),
-                ];
-                if *degraded {
-                    fields.push(("degraded".into(), Json::Bool(true)));
-                }
-                Json::Obj(fields)
+                w.field("done", true)
+                    .field("dims", *dims)
+                    .field("entries", *entries);
+                put_flag(w, "degraded", *degraded);
             }
             Response::Frontier {
                 dims,
                 entries,
                 degraded,
             } => {
-                let mut fields = vec![
-                    ("ok".into(), Json::Bool(true)),
-                    ("type".into(), Json::Str("frontier".into())),
-                    ("dims".into(), unum(u64::from(*dims))),
-                    (
-                        "entries".into(),
-                        Json::Arr(
-                            entries
-                                .iter()
-                                .map(|e| {
-                                    let mut fields =
-                                        vec![("point".into(), point_to_json(&e.point))];
-                                    fields.extend(result_fields(&e.result));
-                                    Json::Obj(fields)
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ];
-                if *degraded {
-                    fields.push(("degraded".into(), Json::Bool(true)));
-                }
-                Json::Obj(fields)
+                w.field("dims", *dims).key("entries").arr(|w| {
+                    for e in entries {
+                        w.obj(|w| put_entry(e, w));
+                    }
+                });
+                put_flag(w, "degraded", *degraded);
             }
             Response::Stats(st) => {
-                let mut fields = vec![
-                    ("ok".into(), Json::Bool(true)),
-                    ("type".into(), Json::Str("stats".into())),
-                    ("cached_points".into(), unum(st.cached_points as u64)),
-                    ("hits".into(), unum(st.hits)),
-                    ("misses".into(), unum(st.misses)),
-                    ("hit_rate".into(), num(st.hit_rate)),
-                    ("requests".into(), unum(st.requests)),
-                    ("active_jobs".into(), unum(st.active_jobs as u64)),
-                    ("queue_capacity".into(), unum(st.queue_capacity as u64)),
-                    ("open_connections".into(), unum(st.open_connections as u64)),
-                    ("max_connections".into(), unum(st.max_connections as u64)),
-                    ("threads".into(), unum(st.threads as u64)),
-                    ("loaded_from_disk".into(), unum(st.loaded_from_disk as u64)),
-                    ("persistent".into(), Json::Bool(st.persistent)),
-                    ("uptime_s".into(), num(st.uptime_s)),
-                    (
-                        "inflight_requests".into(),
-                        unum(st.inflight_requests as u64),
-                    ),
-                    ("queue_depth".into(), unum(st.queue_depth as u64)),
-                    ("slos".into(), unum(st.slos as u64)),
-                    ("slo_breach_ticks".into(), unum(st.slo_breach_ticks)),
-                ];
+                put_stats(st, w);
                 if !st.shards.is_empty() {
-                    fields.push((
-                        "shards".into(),
-                        Json::Arr(
-                            st.shards
-                                .iter()
-                                .map(|s| {
-                                    let mut f = vec![
-                                        ("addr".into(), Json::Str(s.addr.clone())),
-                                        ("requests".into(), unum(s.requests)),
-                                        ("errors".into(), unum(s.errors)),
-                                    ];
-                                    if s.degraded {
-                                        f.push(("degraded".into(), Json::Bool(true)));
-                                    }
-                                    Json::Obj(f)
-                                })
-                                .collect(),
-                        ),
-                    ));
+                    w.key("shards").arr(|w| {
+                        for s in &st.shards {
+                            w.obj(|w| {
+                                w.field("addr", &s.addr)
+                                    .field("requests", s.requests)
+                                    .field("errors", s.errors);
+                                put_flag(w, "degraded", s.degraded);
+                            });
+                        }
+                    });
                 }
-                Json::Obj(fields)
             }
-            Response::Metrics { snapshot } => Json::Obj(vec![
-                ("ok".into(), Json::Bool(true)),
-                ("type".into(), Json::Str("metrics".into())),
-                ("uptime_s".into(), num(snapshot.uptime_s)),
-                (
-                    "metrics".into(),
-                    Json::Arr(snapshot.entries.iter().map(metric_entry_to_json).collect()),
-                ),
-            ]),
-            Response::MetricsHistory(h) => Json::Obj(vec![
-                ("ok".into(), Json::Bool(true)),
-                ("type".into(), Json::Str("metrics_history".into())),
-                ("interval_s".into(), num(h.interval_s)),
-                ("samples".into(), unum(h.samples)),
-                ("capacity".into(), unum(h.capacity as u64)),
-                (
-                    "windows".into(),
-                    Json::Arr(
-                        h.windows
-                            .iter()
-                            .map(|w| {
-                                Json::Obj(vec![
-                                    ("window_s".into(), num(w.window_s)),
-                                    ("duration_s".into(), num(w.duration_s)),
-                                    ("samples".into(), unum(w.samples as u64)),
-                                    ("req_per_sec".into(), num(w.req_per_sec)),
-                                    ("points_per_sec".into(), num(w.points_per_sec)),
-                                    ("types".into(), type_windows_to_json(&w.types)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Response::WatchSample(s) => Json::Obj(vec![
-                ("ok".into(), Json::Bool(true)),
-                ("type".into(), Json::Str("watch".into())),
-                ("seq".into(), unum(s.seq)),
-                ("interval_s".into(), num(s.interval_s)),
-                ("window_s".into(), num(s.window_s)),
-                ("req_per_sec".into(), num(s.req_per_sec)),
-                ("points_per_sec".into(), num(s.points_per_sec)),
-                ("inflight".into(), unum(s.inflight)),
-                ("active_jobs".into(), unum(s.active_jobs)),
-                ("queue_depth".into(), unum(s.queue_depth)),
-                ("cache_hit_rate".into(), num(s.cache_hit_rate)),
-                ("requests_total".into(), unum(s.requests_total)),
-                ("queue_wait_p99_us".into(), num(s.queue_wait_p99_us)),
-                ("execute_p99_us".into(), num(s.execute_p99_us)),
-                ("types".into(), type_windows_to_json(&s.types)),
-            ]),
-            Response::WatchDone { samples } => Json::Obj(vec![
-                ("ok".into(), Json::Bool(true)),
-                ("type".into(), Json::Str("watch".into())),
-                ("done".into(), Json::Bool(true)),
-                ("samples".into(), unum(*samples)),
-            ]),
-            Response::Trace { id, dropped, spans } => Json::Obj(vec![
-                ("ok".into(), Json::Bool(true)),
-                ("type".into(), Json::Str("trace".into())),
-                ("id".into(), unum(*id)),
-                ("dropped".into(), unum(*dropped)),
-                (
-                    "spans".into(),
-                    Json::Arr(spans.iter().map(span_to_json).collect()),
-                ),
-            ]),
+            Response::Metrics { snapshot } => {
+                w.field("uptime_s", snapshot.uptime_s)
+                    .key("metrics")
+                    .arr(|w| {
+                        for entry in &snapshot.entries {
+                            w.obj(|w| put_metric_entry(entry, w));
+                        }
+                    });
+            }
+            Response::MetricsHistory(h) => {
+                put_history(h, w);
+                w.key("windows").arr(|w| {
+                    for window in &h.windows {
+                        w.obj(|w| {
+                            put_window(window, w);
+                            put_type_windows(&window.types, w);
+                        });
+                    }
+                });
+            }
+            Response::WatchSample(s) => {
+                w.field("seq", s.seq);
+                put_watch(s, w);
+                put_type_windows(&s.types, w);
+            }
+            Response::WatchDone { samples } => {
+                w.field("done", true).field("samples", *samples);
+            }
+            Response::Trace { id, dropped, spans } => {
+                w.field("id", *id)
+                    .field("dropped", *dropped)
+                    .key("spans")
+                    .arr(|w| {
+                        for s in spans {
+                            w.obj(|w| put_span(s, w));
+                        }
+                    });
+            }
             Response::Dump {
                 path,
                 spans,
                 dropped,
-            } => Json::Obj(vec![
-                ("ok".into(), Json::Bool(true)),
-                ("type".into(), Json::Str("dump".into())),
-                ("path".into(), Json::Str(path.clone())),
-                ("spans".into(), unum(*spans as u64)),
-                ("dropped".into(), unum(*dropped)),
-            ]),
-            Response::Shutdown => Json::Obj(vec![
-                ("ok".into(), Json::Bool(true)),
-                ("type".into(), Json::Str("shutdown".into())),
-            ]),
-            Response::Busy { active, capacity } => Json::Obj(vec![
-                ("ok".into(), Json::Bool(false)),
-                ("error".into(), Json::Str("busy".into())),
-                ("active".into(), unum(*active as u64)),
-                ("capacity".into(), unum(*capacity as u64)),
-            ]),
-            Response::Error { message } => Json::Obj(vec![
-                ("ok".into(), Json::Bool(false)),
-                ("error".into(), Json::Str(message.clone())),
-            ]),
+            } => {
+                w.field("path", path)
+                    .field("spans", *spans)
+                    .field("dropped", *dropped);
+            }
+            Response::Busy { active, capacity } => {
+                w.field("active", *active).field("capacity", *capacity);
+            }
+            Response::Shutdown | Response::Error { .. } => {}
         }
     }
-}
-
-fn type_windows_to_json(types: &[HistoryTypeWindow]) -> Json {
-    Json::Arr(
-        types
-            .iter()
-            .map(|t| {
-                Json::Obj(vec![
-                    ("kind".into(), Json::Str(t.kind.clone())),
-                    ("requests".into(), unum(t.requests)),
-                    ("p50_us".into(), num(t.p50_us)),
-                    ("p99_us".into(), num(t.p99_us)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// One span of a `trace` reply. The span's trace id is implied by the
-/// reply-level `id` and not repeated per span.
-pub(crate) fn span_to_json(s: &SpanRecord) -> Json {
-    let mut fields = vec![
-        ("span".into(), unum(s.span_id)),
-        ("parent".into(), unum(s.parent_id)),
-        ("name".into(), Json::Str(s.name.clone())),
-        ("start_us".into(), unum(s.start_us)),
-        ("dur_us".into(), unum(s.dur_us)),
-    ];
-    if let Some(w) = s.worker {
-        fields.push(("worker".into(), unum(u64::from(w))));
-    }
-    if s.points != 0 {
-        fields.push(("points".into(), unum(u64::from(s.points))));
-    }
-    Json::Obj(fields)
-}
-
-pub(crate) fn metric_entry_to_json(entry: &MetricEntry) -> Json {
-    let mut fields = vec![("name".into(), Json::Str(entry.name.clone()))];
-    if !entry.labels.is_empty() {
-        fields.push((
-            "labels".into(),
-            Json::Obj(
-                entry
-                    .labels
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                    .collect(),
-            ),
-        ));
-    }
-    match &entry.value {
-        MetricValue::Counter(v) => {
-            fields.push(("kind".into(), Json::Str("counter".into())));
-            fields.push(("value".into(), unum(*v)));
-        }
-        MetricValue::Gauge(v) => {
-            fields.push(("kind".into(), Json::Str("gauge".into())));
-            fields.push(("value".into(), num(*v)));
-        }
-        MetricValue::Histogram(h) => {
-            fields.push(("kind".into(), Json::Str("histogram".into())));
-            fields.push(("count".into(), unum(h.count)));
-            fields.push(("sum".into(), unum(h.sum)));
-            fields.push(("p50".into(), num(h.p50)));
-            fields.push(("p95".into(), num(h.p95)));
-            fields.push(("p99".into(), num(h.p99)));
-            fields.push(("max".into(), num(h.max)));
-        }
-    }
-    Json::Obj(fields)
 }
 
 // ---------------------------------------------------------------- decode
 
-fn span_from_json(trace_id: u64, v: &Json) -> Result<SpanRecord, ProtocolError> {
+/// Parses one wire line; a syntax error becomes the protocol error.
+fn parse(line: &str) -> Result<Doc<'_>, ProtocolError> {
+    Doc::parse(line).map_err(|e| bad(e.to_string()))
+}
+
+/// The envelope's optional pipelining id.
+fn req_id(v: Node<'_>) -> Result<Option<u64>, ProtocolError> {
+    v.get("req")
+        .map(|r| {
+            r.as_u64()
+                .ok_or_else(|| bad("'req' must be a non-negative integer"))
+        })
+        .transpose()
+}
+
+/// The request envelope: the optional `"trace"` context and `"req"` id.
+fn request_meta(v: Node<'_>) -> Result<RequestMeta, ProtocolError> {
+    let trace = match v.get("trace") {
+        None => None,
+        Some(t) if t.is_obj() => {
+            let id: u64 = required(t, "id", "'trace' needs an integer 'id'")?;
+            if id == 0 {
+                return Err(bad("'trace' id must be non-zero"));
+            }
+            Some(TraceContext {
+                id,
+                parent: field(t, "parent", 0)?,
+            })
+        }
+        Some(_) => return Err(bad("'trace' must be an object")),
+    };
+    Ok(RequestMeta {
+        trace,
+        req_id: req_id(v)?,
+    })
+}
+
+fn point_from(v: Node<'_>) -> Result<DesignPoint, ProtocolError> {
+    if !v.is_obj() {
+        return Err(bad("'point' must be an object"));
+    }
+    take_point(v, DesignPoint::paper_alexnet())
+}
+
+fn outcome_from(v: Node<'_>) -> Result<PointOutcome, ProtocolError> {
+    match v.get("status").and_then(Node::as_str) {
+        Some("ok") => Ok(PointOutcome::Feasible(take_result(
+            v,
+            PointResult::default(),
+        )?)),
+        Some("infeasible") => Ok(PointOutcome::Infeasible(
+            v.get("reason")
+                .and_then(Node::as_str)
+                .unwrap_or("unspecified")
+                .to_owned(),
+        )),
+        _ => Err(bad("missing or unknown 'status'")),
+    }
+}
+
+fn entry_from(v: Node<'_>, what: &str) -> Result<FrontierEntry, ProtocolError> {
+    let point = v
+        .get("point")
+        .ok_or_else(|| bad(format!("{what} needs 'point'")))?;
+    Ok(FrontierEntry {
+        point: point_from(point)?,
+        result: take_result(v, PointResult::default())?,
+    })
+}
+
+/// The inverse of [`put_tuned`].
+fn tuned_from(v: Node<'_>) -> Result<Option<Tuned>, ProtocolError> {
+    match v.get("found").and_then(Node::as_bool) {
+        Some(true) => {
+            let point = v
+                .get("point")
+                .ok_or_else(|| bad("tune response needs 'point' when found"))?;
+            Ok(Some(Tuned {
+                point: point_from(point)?,
+                result: take_mix_result(v, MixResult::default())?,
+                admitted: field(v, "admitted", false)?,
+            }))
+        }
+        Some(false) => Ok(None),
+        None => Err(bad("tune response needs a boolean 'found'")),
+    }
+}
+
+/// The elements of an array field, each decoded by `item`.
+fn list<T>(
+    v: Node<'_>,
+    key: &str,
+    what: &str,
+    item: impl FnMut(Node<'_>) -> Result<T, ProtocolError>,
+) -> Result<Vec<T>, ProtocolError> {
+    v.get(key)
+        .and_then(Node::items)
+        .ok_or_else(|| bad(what))?
+        .map(item)
+        .collect()
+}
+
+/// An axis is a scalar or an array of scalars.
+fn axis<T: FromWire>(v: Node<'_>, key: &str, what: &str) -> Result<Vec<T>, ProtocolError> {
+    let item =
+        |n| T::from_wire(n, key).map_err(|_| bad(format!("axis '{key}' must contain {what}")));
+    match v.items() {
+        Some(items) => items.map(item).collect(),
+        None => Ok(vec![item(v)?]),
+    }
+}
+
+fn spec_from(v: Node<'_>) -> Result<SweepSpec, ProtocolError> {
+    if !v.is_obj() {
+        return Err(bad("'spec' must be an object"));
+    }
+    let ints = "non-negative integers";
+    let mut spec = SweepSpec::paper_point();
+    for (key, slot) in [
+        ("pes", &mut spec.pes),
+        ("kmem_depths", &mut spec.kmem_depths),
+        ("imem_kb", &mut spec.imem_kb),
+        ("omem_kb", &mut spec.omem_kb),
+        ("batches", &mut spec.batches),
+    ] {
+        if let Some(a) = v.get(key) {
+            *slot = axis(a, key, ints)?;
+        }
+    }
+    if let Some(a) = v.get("freqs_mhz") {
+        spec.freqs_mhz = axis(a, "freqs_mhz", "numbers")?;
+    }
+    if let Some(a) = v.get("word_bits") {
+        spec.word_bits = axis::<usize>(a, "word_bits", ints)?
+            .into_iter()
+            .map(|b| u32::try_from(b).map_err(|_| bad("'word_bits' out of range")))
+            .collect::<Result<_, _>>()?;
+    }
+    if let Some(nets) = v.get("nets") {
+        spec.nets =
+            axis(nets, "nets", "strings").map_err(|_| bad("'nets' must contain strings"))?;
+    }
+    if let Some(part) = v.get("part") {
+        if !part.is_obj() {
+            return Err(bad("'part' must be an object"));
+        }
+        let of = field(part, "of", 0)?;
+        let index = field(part, "index", 0)?;
+        if of == 0 {
+            return Err(bad("'part' needs a positive 'of'"));
+        }
+        spec.part = Some(SweepPart { index, of });
+    }
+    Ok(spec)
+}
+
+fn mix_from(v: Node<'_>) -> Result<WorkloadMix, ProtocolError> {
+    let mix = if let Some(text) = v.as_str() {
+        WorkloadMix::parse(text)
+    } else if v.is_obj() {
+        WorkloadMix::new(
+            v.fields()
+                .map(|(net, w)| {
+                    Ok(MixEntry {
+                        net: net.to_owned(),
+                        weight: w.as_f64().ok_or_else(|| {
+                            bad(format!("mix weight for '{net}' must be a number"))
+                        })?,
+                    })
+                })
+                .collect::<Result<Vec<_>, ProtocolError>>()?,
+        )
+    } else {
+        return Err(bad(
+            "'mix' must be an object of net: weight pairs or a string",
+        ));
+    };
+    mix.map_err(|e| bad(e.to_string()))
+}
+
+fn budget_from(v: Node<'_>) -> Result<Budget, ProtocolError> {
+    if !v.is_obj() {
+        return Err(bad("'budget' must be an object"));
+    }
+    let opt = |key| v.get(key).map(|f| f64::from_wire(f, key)).transpose();
+    Ok(Budget {
+        max_system_mw: opt("max_system_mw")?,
+        max_gates_k: opt("max_gates_k")?,
+        min_fps: opt("min_fps")?,
+        min_sqnr_db: opt("min_sqnr_db")?,
+    })
+}
+
+fn objective_from(v: Node<'_>) -> Result<Objective, ProtocolError> {
+    let objective = if let Some(text) = v.as_str() {
+        return Objective::parse(text).map_err(ProtocolError);
+    } else if let Some(items) = v.items() {
+        Objective::Lexicographic(
+            items
+                .map(|m| {
+                    m.as_str()
+                        .ok_or_else(|| bad("objective metrics must be strings"))?
+                        .parse::<Metric>()
+                        .map_err(ProtocolError)
+                })
+                .collect::<Result<Vec<_>, _>>()?,
+        )
+    } else if v.is_obj() {
+        let terms = v
+            .get("scalarized")
+            .filter(|t| t.is_obj())
+            .ok_or_else(|| bad("objective object needs a 'scalarized' object"))?;
+        Objective::Scalarized(
+            terms
+                .fields()
+                .map(|(name, w)| {
+                    Ok((
+                        name.parse::<Metric>().map_err(ProtocolError)?,
+                        w.as_f64().ok_or_else(|| {
+                            bad(format!("objective weight for '{name}' must be a number"))
+                        })?,
+                    ))
+                })
+                .collect::<Result<Vec<_>, ProtocolError>>()?,
+        )
+    } else {
+        return Err(bad("'objective' must be a string, array or object"));
+    };
+    objective.validate().map_err(ProtocolError)?;
+    Ok(objective)
+}
+
+fn tune_request_from(v: Node<'_>) -> Result<TuneRequest, ProtocolError> {
+    let mut req = TuneRequest::default();
+    if let Some(space) = v.get("space") {
+        req.space = spec_from(space)?;
+    }
+    if let Some(mix) = v.get("mix") {
+        req.mix = mix_from(mix)?;
+    }
+    if let Some(budget) = v.get("budget") {
+        req.budget = budget_from(budget)?;
+    }
+    if let Some(objective) = v.get("objective") {
+        req.objective = objective_from(objective)?;
+    }
+    if let Some(strategy) = v.get("strategy") {
+        req.strategy = strategy
+            .as_str()
+            .ok_or_else(|| bad("'strategy' must be a string"))?
+            .parse::<StrategyKind>()
+            .map_err(ProtocolError)?;
+    }
+    req.seed = v
+        .get("seed")
+        .map_or(Some(0), Node::as_u64)
+        .ok_or_else(|| bad("'seed' must be a non-negative integer (below 2^53)"))?;
+    Ok(req)
+}
+
+/// A budget sweep is an `{"axis": ..., "values": [...]}` object or the
+/// CLI string form (`"max-mw=300..=900:50"`). Either way the sweep is
+/// validated (non-empty, strictly increasing, legal bounds).
+fn budget_sweep_from(v: Node<'_>) -> Result<BudgetSweep, ProtocolError> {
+    if let Some(text) = v.as_str() {
+        return BudgetSweep::parse(text).map_err(ProtocolError);
+    }
+    if !v.is_obj() {
+        return Err(bad("'sweep' must be an object or a string"));
+    }
+    let axis = v
+        .get("axis")
+        .and_then(Node::as_str)
+        .ok_or_else(|| bad("'sweep' needs a string 'axis'"))?
+        .parse::<BudgetAxis>()
+        .map_err(ProtocolError)?;
+    let values = list(v, "values", "'sweep' needs a 'values' array", |item| {
+        item.as_f64()
+            .ok_or_else(|| bad("'sweep' values must be numbers"))
+    })?;
+    let sweep = BudgetSweep { axis, values };
+    sweep.validate().map_err(ProtocolError)?;
+    Ok(sweep)
+}
+
+fn type_windows_from(v: Node<'_>) -> Result<Vec<HistoryTypeWindow>, ProtocolError> {
+    list(v, "types", "windowed reply needs a 'types' array", |t| {
+        let kind = required(t, "kind", "type window needs a string 'kind'")?;
+        take_type_window(
+            t,
+            HistoryTypeWindow {
+                kind,
+                ..HistoryTypeWindow::default()
+            },
+        )
+    })
+}
+
+fn span_from(trace_id: u64, v: Node<'_>) -> Result<SpanRecord, ProtocolError> {
     Ok(SpanRecord {
         trace_id,
-        span_id: v
-            .get("span")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| bad("span entry needs an integer 'span'"))?,
-        parent_id: get_usize(v, "parent", 0)? as u64,
-        name: v
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("span entry needs a string 'name'"))?
-            .to_owned(),
-        start_us: get_usize(v, "start_us", 0)? as u64,
-        dur_us: get_usize(v, "dur_us", 0)? as u64,
-        worker: match v.get("worker") {
-            None => None,
-            Some(w) => Some(
+        span_id: required(v, "span", "span entry needs an integer 'span'")?,
+        parent_id: field(v, "parent", 0)?,
+        name: required(v, "name", "span entry needs a string 'name'")?,
+        start_us: field(v, "start_us", 0)?,
+        dur_us: field(v, "dur_us", 0)?,
+        worker: v
+            .get("worker")
+            .map(|w| {
                 w.as_u64()
                     .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| bad("span 'worker' must be a small integer"))?,
-            ),
-        },
-        points: u32::try_from(get_usize(v, "points", 0)?)
+                    .ok_or_else(|| bad("span 'worker' must be a small integer"))
+            })
+            .transpose()?,
+        points: u32::try_from(field::<usize>(v, "points", 0)?)
             .map_err(|_| bad("span 'points' out of range"))?,
     })
 }
 
-fn metric_entry_from_json(v: &Json) -> Result<MetricEntry, ProtocolError> {
-    let name = v
-        .get("name")
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad("metric entry needs a string 'name'"))?
-        .to_owned();
+fn metric_entry_from(v: Node<'_>) -> Result<MetricEntry, ProtocolError> {
+    let name = required(v, "name", "metric entry needs a string 'name'")?;
     let labels = match v.get("labels") {
         None => Vec::new(),
-        Some(Json::Obj(pairs)) => pairs
-            .iter()
+        Some(pairs) if pairs.is_obj() => pairs
+            .fields()
             .map(|(k, lv)| {
                 lv.as_str()
-                    .map(|s| (k.clone(), s.to_owned()))
+                    .map(|s| (k.to_owned(), s.to_owned()))
                     .ok_or_else(|| bad("metric labels must be strings"))
             })
             .collect::<Result<_, ProtocolError>>()?,
@@ -1302,22 +1660,23 @@ fn metric_entry_from_json(v: &Json) -> Result<MetricEntry, ProtocolError> {
     };
     let kind = v
         .get("kind")
-        .and_then(Json::as_str)
+        .and_then(Node::as_str)
         .ok_or_else(|| bad("metric entry needs a string 'kind'"))?;
     let value = match kind {
-        "counter" => MetricValue::Counter(
-            v.get("value")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad("counter metric needs an integer 'value'"))?,
-        ),
-        "gauge" => MetricValue::Gauge(get_f64(v, "value", 0.0)?),
+        "counter" => MetricValue::Counter(required(
+            v,
+            "value",
+            "counter metric needs an integer 'value'",
+        )?),
+        "gauge" => MetricValue::Gauge(field(v, "value", 0.0)?),
         "histogram" => MetricValue::Histogram(HistogramSummary {
-            count: v.get("count").and_then(Json::as_u64).unwrap_or(0),
-            sum: v.get("sum").and_then(Json::as_u64).unwrap_or(0),
-            p50: get_f64(v, "p50", 0.0)?,
-            p95: get_f64(v, "p95", 0.0)?,
-            p99: get_f64(v, "p99", 0.0)?,
-            max: get_f64(v, "max", 0.0)?,
+            // Lenient, like the flags: a mistyped count reads as 0.
+            count: v.get("count").and_then(Node::as_u64).unwrap_or(0),
+            sum: v.get("sum").and_then(Node::as_u64).unwrap_or(0),
+            p50: field(v, "p50", 0.0)?,
+            p95: field(v, "p95", 0.0)?,
+            p99: field(v, "p99", 0.0)?,
+            max: field(v, "max", 0.0)?,
         }),
         other => return Err(bad(format!("unknown metric kind '{other}'"))),
     };
@@ -1328,515 +1687,101 @@ fn metric_entry_from_json(v: &Json) -> Result<MetricEntry, ProtocolError> {
     })
 }
 
-fn type_windows_from_json(v: &Json) -> Result<Vec<HistoryTypeWindow>, ProtocolError> {
-    v.get("types")
-        .and_then(Json::as_array)
-        .ok_or_else(|| bad("windowed reply needs a 'types' array"))?
-        .iter()
-        .map(|t| {
-            Ok(HistoryTypeWindow {
-                kind: t
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("type window needs a string 'kind'"))?
-                    .to_owned(),
-                requests: get_usize(t, "requests", 0)? as u64,
-                p50_us: get_f64(t, "p50_us", 0.0)?,
-                p99_us: get_f64(t, "p99_us", 0.0)?,
-            })
-        })
-        .collect()
-}
-
-fn get_usize(obj: &Json, key: &str, default: usize) -> Result<usize, ProtocolError> {
-    match obj.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_u64()
-            .map(|n| n as usize)
-            .ok_or_else(|| bad(format!("'{key}' must be a non-negative integer"))),
-    }
-}
-
-fn get_f64(obj: &Json, key: &str, default: f64) -> Result<f64, ProtocolError> {
-    match obj.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_f64()
-            .ok_or_else(|| bad(format!("'{key}' must be a number"))),
-    }
-}
-
-fn point_from_json(v: &Json) -> Result<DesignPoint, ProtocolError> {
-    if !matches!(v, Json::Obj(_)) {
-        return Err(bad("'point' must be an object"));
-    }
-    let d = DesignPoint::paper_alexnet();
-    Ok(DesignPoint {
-        pes: get_usize(v, "pes", d.pes)?,
-        freq_mhz: get_f64(v, "freq_mhz", d.freq_mhz)?,
-        kmem_depth: get_usize(v, "kmem_depth", d.kmem_depth)?,
-        imem_kb: get_usize(v, "imem_kb", d.imem_kb)?,
-        omem_kb: get_usize(v, "omem_kb", d.omem_kb)?,
-        word_bits: u32::try_from(get_usize(v, "word_bits", d.word_bits as usize)?)
-            .map_err(|_| bad("'word_bits' out of range"))?,
-        batch: get_usize(v, "batch", d.batch)?,
-        net: match v.get("net") {
-            None => d.net,
-            Some(n) => n
-                .as_str()
-                .ok_or_else(|| bad("'net' must be a string"))?
-                .to_owned(),
-        },
-    })
-}
-
-/// An axis is a scalar or an array of scalars.
-fn axis_f64(v: &Json, key: &str) -> Result<Vec<f64>, ProtocolError> {
-    let items: Vec<&Json> = match v {
-        Json::Arr(items) => items.iter().collect(),
-        other => vec![other],
-    };
-    items
-        .into_iter()
-        .map(|item| {
-            item.as_f64()
-                .ok_or_else(|| bad(format!("axis '{key}' must contain numbers")))
-        })
-        .collect()
-}
-
-fn axis_usize(v: &Json, key: &str) -> Result<Vec<usize>, ProtocolError> {
-    let items: Vec<&Json> = match v {
-        Json::Arr(items) => items.iter().collect(),
-        other => vec![other],
-    };
-    items
-        .into_iter()
-        .map(|item| {
-            item.as_u64()
-                .map(|n| n as usize)
-                .ok_or_else(|| bad(format!("axis '{key}' must contain non-negative integers")))
-        })
-        .collect()
-}
-
-fn spec_from_json(v: &Json) -> Result<SweepSpec, ProtocolError> {
-    if !matches!(v, Json::Obj(_)) {
-        return Err(bad("'spec' must be an object"));
-    }
-    let mut spec = SweepSpec::paper_point();
-    if let Some(axis) = v.get("pes") {
-        spec.pes = axis_usize(axis, "pes")?;
-    }
-    if let Some(axis) = v.get("freqs_mhz") {
-        spec.freqs_mhz = axis_f64(axis, "freqs_mhz")?;
-    }
-    if let Some(axis) = v.get("kmem_depths") {
-        spec.kmem_depths = axis_usize(axis, "kmem_depths")?;
-    }
-    if let Some(axis) = v.get("imem_kb") {
-        spec.imem_kb = axis_usize(axis, "imem_kb")?;
-    }
-    if let Some(axis) = v.get("omem_kb") {
-        spec.omem_kb = axis_usize(axis, "omem_kb")?;
-    }
-    if let Some(axis) = v.get("word_bits") {
-        spec.word_bits = axis_usize(axis, "word_bits")?
-            .into_iter()
-            .map(|b| u32::try_from(b).map_err(|_| bad("'word_bits' out of range")))
-            .collect::<Result<_, _>>()?;
-    }
-    if let Some(axis) = v.get("batches") {
-        spec.batches = axis_usize(axis, "batches")?;
-    }
-    if let Some(nets) = v.get("nets") {
-        let items: Vec<&Json> = match nets {
-            Json::Arr(items) => items.iter().collect(),
-            other => vec![other],
-        };
-        spec.nets = items
-            .into_iter()
-            .map(|n| {
-                n.as_str()
-                    .map(str::to_owned)
-                    .ok_or_else(|| bad("'nets' must contain strings"))
-            })
-            .collect::<Result<_, _>>()?;
-    }
-    if let Some(part) = v.get("part") {
-        if !matches!(part, Json::Obj(_)) {
-            return Err(bad("'part' must be an object"));
-        }
-        let of = get_usize(part, "of", 0)?;
-        let index = get_usize(part, "index", 0)?;
-        if of == 0 {
-            return Err(bad("'part' needs a positive 'of'"));
-        }
-        spec.part = Some(SweepPart { index, of });
-    }
-    Ok(spec)
-}
-
-fn mix_from_json(v: &Json) -> Result<WorkloadMix, ProtocolError> {
-    let mix = match v {
-        Json::Str(text) => WorkloadMix::parse(text),
-        Json::Obj(entries) => WorkloadMix::new(
-            entries
-                .iter()
-                .map(|(net, w)| {
-                    Ok(MixEntry {
-                        net: net.clone(),
-                        weight: w.as_f64().ok_or_else(|| {
-                            bad(format!("mix weight for '{net}' must be a number"))
-                        })?,
-                    })
-                })
-                .collect::<Result<Vec<_>, ProtocolError>>()?,
-        ),
-        _ => {
-            return Err(bad(
-                "'mix' must be an object of net: weight pairs or a string",
-            ))
-        }
-    };
-    mix.map_err(|e| bad(e.to_string()))
-}
-
-fn opt_f64(v: &Json, key: &str) -> Result<Option<f64>, ProtocolError> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(item) => item
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| bad(format!("'{key}' must be a number"))),
-    }
-}
-
-fn budget_from_json(v: &Json) -> Result<Budget, ProtocolError> {
-    if !matches!(v, Json::Obj(_)) {
-        return Err(bad("'budget' must be an object"));
-    }
-    Ok(Budget {
-        max_system_mw: opt_f64(v, "max_system_mw")?,
-        max_gates_k: opt_f64(v, "max_gates_k")?,
-        min_fps: opt_f64(v, "min_fps")?,
-        min_sqnr_db: opt_f64(v, "min_sqnr_db")?,
-    })
-}
-
-fn metric_from_json(v: &Json) -> Result<Metric, ProtocolError> {
-    v.as_str()
-        .ok_or_else(|| bad("objective metrics must be strings"))?
-        .parse::<Metric>()
-        .map_err(ProtocolError)
-}
-
-fn objective_from_json(v: &Json) -> Result<Objective, ProtocolError> {
-    let objective = match v {
-        Json::Str(text) => return Objective::parse(text).map_err(ProtocolError),
-        Json::Arr(items) => Objective::Lexicographic(
-            items
-                .iter()
-                .map(metric_from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        ),
-        Json::Obj(_) => {
-            let Some(Json::Obj(terms)) = v.get("scalarized") else {
-                return Err(bad("objective object needs a 'scalarized' object"));
-            };
-            Objective::Scalarized(
-                terms
-                    .iter()
-                    .map(|(name, w)| {
-                        Ok((
-                            name.parse::<Metric>().map_err(ProtocolError)?,
-                            w.as_f64().ok_or_else(|| {
-                                bad(format!("objective weight for '{name}' must be a number"))
-                            })?,
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, ProtocolError>>()?,
-            )
-        }
-        _ => return Err(bad("'objective' must be a string, array or object")),
-    };
-    objective.validate().map_err(ProtocolError)?;
-    Ok(objective)
-}
-
-fn tune_request_from_json(v: &Json) -> Result<TuneRequest, ProtocolError> {
-    let mut req = TuneRequest::default();
-    if let Some(space) = v.get("space") {
-        req.space = spec_from_json(space)?;
-    }
-    if let Some(mix) = v.get("mix") {
-        req.mix = mix_from_json(mix)?;
-    }
-    if let Some(budget) = v.get("budget") {
-        req.budget = budget_from_json(budget)?;
-    }
-    if let Some(objective) = v.get("objective") {
-        req.objective = objective_from_json(objective)?;
-    }
-    if let Some(strategy) = v.get("strategy") {
-        req.strategy = strategy
-            .as_str()
-            .ok_or_else(|| bad("'strategy' must be a string"))?
-            .parse::<StrategyKind>()
-            .map_err(ProtocolError)?;
-    }
-    req.seed = match v.get("seed") {
-        None => 0,
-        Some(s) => s
-            .as_u64()
-            .ok_or_else(|| bad("'seed' must be a non-negative integer (below 2^53)"))?,
-    };
-    Ok(req)
-}
-
-/// A budget sweep is an `{"axis": ..., "values": [...]}` object or the
-/// CLI string form (`"max-mw=300..=900:50"`). Either way the sweep is
-/// validated (non-empty, strictly increasing, legal bounds).
-fn budget_sweep_from_json(v: &Json) -> Result<BudgetSweep, ProtocolError> {
-    match v {
-        Json::Str(text) => BudgetSweep::parse(text).map_err(ProtocolError),
-        Json::Obj(_) => {
-            let axis = v
-                .get("axis")
-                .and_then(Json::as_str)
-                .ok_or_else(|| bad("'sweep' needs a string 'axis'"))?
-                .parse::<BudgetAxis>()
-                .map_err(ProtocolError)?;
-            let values = v
-                .get("values")
-                .and_then(Json::as_array)
-                .ok_or_else(|| bad("'sweep' needs a 'values' array"))?
-                .iter()
-                .map(|item| {
-                    item.as_f64()
-                        .ok_or_else(|| bad("'sweep' values must be numbers"))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let sweep = BudgetSweep { axis, values };
-            sweep.validate().map_err(ProtocolError)?;
-            Ok(sweep)
-        }
-        _ => Err(bad("'sweep' must be an object or a string")),
-    }
-}
-
-fn mix_result_from_json(v: &Json) -> Result<MixResult, ProtocolError> {
-    let f = |key: &str| -> Result<f64, ProtocolError> {
-        v.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| bad(format!("tune result field '{key}' missing")))
-    };
-    Ok(MixResult {
-        fps: f("fps")?,
-        chip_mw: f("chip_mw")?,
-        dram_mw: f("dram_mw")?,
-        peak_gops: f("peak_gops")?,
-        gates_k: f("gates_k")?,
-        sram_kb: f("sram_kb")?,
-        sqnr_db: f("sqnr_db")?,
-    })
-}
-
-fn result_from_json(v: &Json) -> Result<PointResult, ProtocolError> {
-    let f = |key: &str| -> Result<f64, ProtocolError> {
-        v.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| bad(format!("result field '{key}' missing")))
-    };
-    Ok(PointResult {
-        fps: f("fps")?,
-        achieved_gops: f("achieved_gops")?,
-        peak_gops: f("peak_gops")?,
-        chip_mw: f("chip_mw")?,
-        dram_mw: f("dram_mw")?,
-        gates_k: f("gates_k")?,
-        sram_kb: f("sram_kb")?,
-        sqnr_db: f("sqnr_db")?,
-    })
-}
-
-/// The `found`/`admitted`/`point` + mix-metric block shared by `tune`
-/// replies and `tune_frontier` step lines.
-fn tuned_from_json(v: &Json) -> Result<Option<Tuned>, ProtocolError> {
-    match v.get("found") {
-        Some(Json::Bool(true)) => {
-            let point = v
-                .get("point")
-                .ok_or_else(|| bad("tune response needs 'point' when found"))?;
-            Ok(Some(Tuned {
-                point: point_from_json(point)?,
-                result: mix_result_from_json(v)?,
-                admitted: matches!(v.get("admitted"), Some(Json::Bool(true))),
-            }))
-        }
-        Some(Json::Bool(false)) => Ok(None),
-        _ => Err(bad("tune response needs a boolean 'found'")),
-    }
-}
-
-fn outcome_from_json(v: &Json) -> Result<PointOutcome, ProtocolError> {
-    match v.get("status").and_then(Json::as_str) {
-        Some("ok") => Ok(PointOutcome::Feasible(result_from_json(v)?)),
-        Some("infeasible") => Ok(PointOutcome::Infeasible(
-            v.get("reason")
-                .and_then(Json::as_str)
-                .unwrap_or("unspecified")
-                .to_owned(),
-        )),
-        _ => Err(bad("missing or unknown 'status'")),
-    }
-}
-
 impl Request {
-    /// Parses one request line.
+    /// Parses one request line, ignoring its envelope.
     ///
     /// # Errors
     ///
     /// [`ProtocolError`] on unparseable JSON, a missing/unknown
     /// `"type"`, or mistyped fields.
     pub fn decode(line: &str) -> Result<Request, ProtocolError> {
-        let v = Json::parse(line).map_err(|e| bad(e.to_string()))?;
-        Request::decode_value(&v)
+        Request::from_node(parse(line)?.root())
     }
 
-    /// Parses one request line together with its optional propagated
-    /// `"trace"` context. [`Request::decode`] ignores the field (so
-    /// legacy call sites are unchanged); the daemon's session loop uses
-    /// this entry point to tag every span of the request.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Request::decode`] rejects, plus a malformed
-    /// `"trace"` object (missing/zero `id`, mistyped fields).
-    pub fn decode_with_trace(line: &str) -> Result<(Request, Option<TraceContext>), ProtocolError> {
-        let (request, meta) = Request::decode_with_meta(line)?;
-        Ok((request, meta.trace))
-    }
-
-    /// Parses one request line together with its full transport
-    /// envelope: the optional `"trace"` context *and* the optional
+    /// Parses one request line together with its transport envelope:
+    /// the optional propagated `"trace"` context and the optional
     /// pipelining id `"req"`. The daemon's session loop uses this so it
-    /// can echo `"req"` on every reply line belonging to the request.
+    /// can tag every span of the request and echo `"req"` on every
+    /// reply line belonging to it.
     ///
     /// # Errors
     ///
     /// Everything [`Request::decode`] rejects, plus a malformed
-    /// `"trace"` object or a non-integer `"req"`.
+    /// `"trace"` object (missing/zero `id`, mistyped fields) or a
+    /// non-integer `"req"`.
     pub fn decode_with_meta(line: &str) -> Result<(Request, RequestMeta), ProtocolError> {
-        let v = Json::parse(line).map_err(|e| bad(e.to_string()))?;
-        let trace = match v.get("trace") {
-            None => None,
-            Some(t @ Json::Obj(_)) => {
-                let id = t
-                    .get("id")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("'trace' needs an integer 'id'"))?;
-                if id == 0 {
-                    return Err(bad("'trace' id must be non-zero"));
-                }
-                Some(TraceContext {
-                    id,
-                    parent: get_usize(t, "parent", 0)? as u64,
-                })
-            }
-            Some(_) => return Err(bad("'trace' must be an object")),
-        };
-        let req_id = match v.get("req") {
-            None => None,
-            Some(r) => Some(
-                r.as_u64()
-                    .ok_or_else(|| bad("'req' must be a non-negative integer"))?,
-            ),
-        };
-        Ok((Request::decode_value(&v)?, RequestMeta { trace, req_id }))
+        let doc = parse(line)?;
+        let meta = request_meta(doc.root())?;
+        Ok((Request::from_node(doc.root())?, meta))
     }
 
-    fn decode_value(v: &Json) -> Result<Request, ProtocolError> {
+    fn from_node(v: Node<'_>) -> Result<Request, ProtocolError> {
         let kind = v
             .get("type")
-            .and_then(Json::as_str)
+            .and_then(Node::as_str)
             .ok_or_else(|| bad("request needs a string 'type'"))?;
-        match kind {
-            "eval" => {
-                let point = v.get("point").unwrap_or(&Json::Obj(vec![])).clone();
-                Ok(Request::Eval(point_from_json(&point)?))
-            }
-            "eval_batch" => {
-                let points = v
-                    .get("points")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| bad("eval_batch request needs a 'points' array"))?
-                    .iter()
-                    .map(point_from_json)
-                    .collect::<Result<_, _>>()?;
-                Ok(Request::EvalBatch(points))
-            }
-            "sweep" => {
-                let spec = v
-                    .get("spec")
-                    .ok_or_else(|| bad("sweep request needs a 'spec' object"))?;
-                Ok(Request::Sweep(spec_from_json(spec)?))
-            }
-            "tune" => Ok(Request::Tune(Box::new(tune_request_from_json(v)?))),
+        Ok(match kind {
+            "eval" => Request::Eval(match v.get("point") {
+                None => DesignPoint::paper_alexnet(),
+                Some(p) => point_from(p)?,
+            }),
+            "eval_batch" => Request::EvalBatch(list(
+                v,
+                "points",
+                "eval_batch request needs a 'points' array",
+                point_from,
+            )?),
+            "sweep" => Request::Sweep(spec_from(
+                v.get("spec")
+                    .ok_or_else(|| bad("sweep request needs a 'spec' object"))?,
+            )?),
+            "tune" => Request::Tune(Box::new(tune_request_from(v)?)),
             "tune_frontier" => {
-                let base = tune_request_from_json(v)?;
+                let base = tune_request_from(v)?;
                 let sweep = v
                     .get("sweep")
                     .ok_or_else(|| bad("tune_frontier request needs a 'sweep'"))?;
-                let sweep = budget_sweep_from_json(sweep)?;
-                Ok(Request::TuneFrontier(Box::new(FrontierTuneRequest {
+                Request::TuneFrontier(Box::new(FrontierTuneRequest {
                     base,
-                    sweep,
-                })))
+                    sweep: budget_sweep_from(sweep)?,
+                }))
             }
             "frontier" => {
-                let dims = get_usize(v, "dims", 3)?;
+                let dims = field(v, "dims", 3usize)?;
                 if !(dims == 2 || dims == 3) {
                     return Err(bad("'dims' must be 2 or 3"));
                 }
-                let sqnr = match v.get("axes").map(|a| a.as_str()) {
-                    None => false,
-                    Some(Some("gates")) => false,
+                let sqnr = match v.get("axes").map(Node::as_str) {
+                    None | Some(Some("gates")) => false,
                     Some(Some("sqnr")) => true,
                     _ => return Err(bad("'axes' must be \"gates\" or \"sqnr\"")),
                 };
                 if sqnr && dims != 3 {
                     return Err(bad("the sqnr frontier is 3-dimensional; use dims 3"));
                 }
-                let stream = match v.get("stream") {
-                    None => false,
-                    Some(Json::Bool(b)) => *b,
-                    _ => return Err(bad("'stream' must be a boolean")),
-                };
-                Ok(Request::Frontier {
+                let stream = v
+                    .get("stream")
+                    .map_or(Some(false), Node::as_bool)
+                    .ok_or_else(|| bad("'stream' must be a boolean"))?;
+                Request::Frontier {
                     dims: dims as u8,
                     sqnr,
                     stream,
-                })
+                }
             }
-            "stats" => Ok(Request::Stats),
-            "metrics" => Ok(Request::Metrics),
-            "metrics_history" => Ok(Request::MetricsHistory),
-            "watch" => Ok(Request::Watch {
-                samples: get_usize(v, "samples", 0)? as u64,
-            }),
-            "trace_query" => {
-                let id = v
-                    .get("id")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("trace_query needs an integer 'id'"))?;
-                Ok(Request::TraceQuery { id })
-            }
-            "dump" => Ok(Request::Dump),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(bad(format!("unknown request type '{other}'"))),
-        }
+            "stats" => Request::Stats,
+            "metrics" => Request::Metrics,
+            "metrics_history" => Request::MetricsHistory,
+            "watch" => Request::Watch {
+                samples: field(v, "samples", 0)?,
+            },
+            "trace_query" => Request::TraceQuery {
+                id: required(v, "id", "trace_query needs an integer 'id'")?,
+            },
+            "dump" => Request::Dump,
+            "shutdown" => Request::Shutdown,
+            other => return Err(bad(format!("unknown request type '{other}'"))),
+        })
     }
 }
 
@@ -1859,336 +1804,223 @@ impl Response {
     /// Everything [`Response::decode`] rejects, plus a non-integer
     /// `"req"`.
     pub fn decode_with_req(line: &str) -> Result<(Response, Option<u64>), ProtocolError> {
-        let v = Json::parse(line).map_err(|e| bad(e.to_string()))?;
-        let req_id = match v.get("req") {
-            None => None,
-            Some(r) => Some(
-                r.as_u64()
-                    .ok_or_else(|| bad("'req' must be a non-negative integer"))?,
-            ),
-        };
-        Ok((Response::decode_value(v)?, req_id))
+        let doc = parse(line)?;
+        let req = req_id(doc.root())?;
+        Ok((Response::from_node(doc.root())?, req))
     }
 
-    fn decode_value(v: Json) -> Result<Response, ProtocolError> {
-        let ok = match v.get("ok") {
-            Some(Json::Bool(b)) => *b,
-            _ => return Err(bad("response needs a boolean 'ok'")),
-        };
+    fn from_node(v: Node<'_>) -> Result<Response, ProtocolError> {
+        let ok = v
+            .get("ok")
+            .and_then(Node::as_bool)
+            .ok_or_else(|| bad("response needs a boolean 'ok'"))?;
         if !ok {
             let message = v
                 .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("unspecified")
-                .to_owned();
+                .and_then(Node::as_str)
+                .unwrap_or("unspecified");
             if message == "busy" {
                 return Ok(Response::Busy {
-                    active: get_usize(&v, "active", 0)?,
-                    capacity: get_usize(&v, "capacity", 0)?,
+                    active: field(v, "active", 0)?,
+                    capacity: field(v, "capacity", 0)?,
                 });
             }
-            return Ok(Response::Error { message });
+            return Ok(Response::Error {
+                message: message.to_owned(),
+            });
         }
         let kind = v
             .get("type")
-            .and_then(Json::as_str)
+            .and_then(Node::as_str)
             .ok_or_else(|| bad("response needs a string 'type'"))?;
-        match kind {
+        let done = field(v, "done", false)?;
+        Ok(match kind {
             "eval" => {
                 let point = v
                     .get("point")
                     .ok_or_else(|| bad("eval response needs 'point'"))?;
-                Ok(Response::Eval {
-                    point: point_from_json(point)?,
-                    outcome: outcome_from_json(&v)?,
-                })
+                Response::Eval {
+                    point: point_from(point)?,
+                    outcome: outcome_from(v)?,
+                }
             }
-            "eval_batch" => {
-                let outcomes = v
-                    .get("outcomes")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| bad("eval_batch response needs 'outcomes'"))?
-                    .iter()
-                    .map(outcome_from_json)
-                    .collect::<Result<_, _>>()?;
-                Ok(Response::EvalBatch {
-                    outcomes,
-                    cache_hits: get_usize(&v, "cache_hits", 0)? as u64,
-                    cache_misses: get_usize(&v, "cache_misses", 0)? as u64,
-                })
-            }
+            "eval_batch" => Response::EvalBatch {
+                outcomes: list(
+                    v,
+                    "outcomes",
+                    "eval_batch response needs 'outcomes'",
+                    outcome_from,
+                )?,
+                cache_hits: field(v, "cache_hits", 0)?,
+                cache_misses: field(v, "cache_misses", 0)?,
+            },
             "sweep" => {
-                let indices = |key: &'static str| -> Result<Vec<usize>, ProtocolError> {
-                    v.get(key)
-                        .and_then(Json::as_array)
-                        .ok_or_else(|| bad(format!("sweep response needs '{key}'")))?
-                        .iter()
-                        .map(|i| {
-                            i.as_u64()
-                                .map(|n| n as usize)
-                                .ok_or_else(|| bad(format!("'{key}' must hold indices")))
-                        })
-                        .collect()
-                };
                 let candidates = match v.get("candidates") {
                     None => Vec::new(),
                     Some(arr) => arr
-                        .as_array()
+                        .items()
                         .ok_or_else(|| bad("'candidates' must be an array"))?
-                        .iter()
                         .map(|c| {
-                            let i = c
-                                .get("i")
-                                .and_then(Json::as_u64)
-                                .ok_or_else(|| bad("candidate needs an integer 'i'"))?;
                             Ok((
-                                i as usize,
-                                Objectives {
-                                    fps: get_f64(c, "fps", 0.0)?,
-                                    system_mw: get_f64(c, "system_mw", 0.0)?,
-                                    gates_k: get_f64(c, "gates_k", 0.0)?,
-                                    sqnr_db: get_f64(c, "sqnr_db", 0.0)?,
-                                },
+                                required(c, "i", "candidate needs an integer 'i'")?,
+                                take_objectives(c, Objectives::default())?,
                             ))
                         })
                         .collect::<Result<_, ProtocolError>>()?,
                 };
-                Ok(Response::Sweep(SweepSummary {
-                    points: get_usize(&v, "points", 0)?,
-                    feasible: get_usize(&v, "feasible", 0)?,
-                    cache_hits: get_usize(&v, "cache_hits", 0)? as u64,
-                    cache_misses: get_usize(&v, "cache_misses", 0)? as u64,
-                    wall_ms: get_f64(&v, "wall_ms", 0.0)?,
-                    frontier_3d: indices("frontier_3d")?,
-                    frontier_sqnr: indices("frontier_sqnr")?,
-                    candidates,
-                    degraded: matches!(v.get("degraded"), Some(Json::Bool(true))),
-                }))
-            }
-            "tune" => Ok(Response::Tune(TuneSummary {
-                best: tuned_from_json(&v)?,
-                evaluations: get_usize(&v, "evaluations", 0)? as u64,
-                cache_hits: get_usize(&v, "cache_hits", 0)? as u64,
-                cache_misses: get_usize(&v, "cache_misses", 0)? as u64,
-                rounds: get_usize(&v, "rounds", 0)?,
-                exhaustive_points: get_usize(&v, "exhaustive_points", 0)?,
-                degraded: matches!(v.get("degraded"), Some(Json::Bool(true))),
-            })),
-            "tune_frontier" => {
-                if matches!(v.get("done"), Some(Json::Bool(true))) {
-                    let frontier = v
-                        .get("frontier")
-                        .and_then(Json::as_array)
-                        .ok_or_else(|| bad("tune_frontier done line needs 'frontier'"))?
-                        .iter()
-                        .map(|i| {
-                            i.as_u64()
-                                .map(|n| n as usize)
-                                .ok_or_else(|| bad("'frontier' must hold step indices"))
-                        })
-                        .collect::<Result<_, _>>()?;
-                    return Ok(Response::TuneFrontierDone(FrontierDoneSummary {
-                        steps: get_usize(&v, "steps", 0)?,
-                        frontier,
-                        evaluations: get_usize(&v, "evaluations", 0)? as u64,
-                        standalone_evaluations: get_usize(&v, "standalone_evaluations", 0)? as u64,
-                        cache_hits: get_usize(&v, "cache_hits", 0)? as u64,
-                        cache_misses: get_usize(&v, "cache_misses", 0)? as u64,
-                        exhaustive_points: get_usize(&v, "exhaustive_points", 0)?,
-                    }));
-                }
-                Ok(Response::TuneFrontierStep(FrontierStepSummary {
-                    step: get_usize(&v, "step", 0)?,
-                    steps: get_usize(&v, "steps", 0)?,
-                    result: FrontierStep {
-                        // Required, not defaulted: a NaN budget would
-                        // poison every PartialEq on the step downstream.
-                        budget_value: v.get("budget_value").and_then(Json::as_f64).ok_or_else(
-                            || bad("tune_frontier step line needs a numeric 'budget_value'"),
-                        )?,
-                        best: tuned_from_json(&v)?,
-                        evaluations: get_usize(&v, "evaluations", 0)? as u64,
-                        fresh_evaluations: get_usize(&v, "fresh_evaluations", 0)? as u64,
-                        cache_hits: get_usize(&v, "cache_hits", 0)? as u64,
-                        cache_misses: get_usize(&v, "cache_misses", 0)? as u64,
-                        rounds: get_usize(&v, "rounds", 0)?,
+                Response::Sweep(take_sweep(
+                    v,
+                    SweepSummary {
+                        candidates,
+                        degraded: field(v, "degraded", false)?,
+                        ..SweepSummary::default()
                     },
-                }))
+                )?)
             }
-            "frontier" => {
-                if matches!(v.get("done"), Some(Json::Bool(true))) {
-                    return Ok(Response::FrontierStreamDone {
-                        dims: get_usize(&v, "dims", 3)? as u8,
-                        entries: get_usize(&v, "entries", 0)?,
-                        degraded: matches!(v.get("degraded"), Some(Json::Bool(true))),
-                    });
-                }
-                if matches!(v.get("stream"), Some(Json::Bool(true))) {
-                    let point = v
-                        .get("point")
-                        .ok_or_else(|| bad("frontier stream entry needs 'point'"))?;
-                    return Ok(Response::FrontierStreamEntry {
-                        entry: FrontierEntry {
-                            point: point_from_json(point)?,
-                            result: result_from_json(&v)?,
-                        },
-                    });
-                }
-                let dims = get_usize(&v, "dims", 3)? as u8;
-                let entries = v
-                    .get("entries")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| bad("frontier response needs 'entries'"))?
-                    .iter()
-                    .map(|e| {
-                        let point = e
-                            .get("point")
-                            .ok_or_else(|| bad("frontier entry needs 'point'"))?;
-                        Ok(FrontierEntry {
-                            point: point_from_json(point)?,
-                            result: result_from_json(e)?,
-                        })
-                    })
-                    .collect::<Result<_, ProtocolError>>()?;
-                Ok(Response::Frontier {
-                    dims,
-                    entries,
-                    degraded: matches!(v.get("degraded"), Some(Json::Bool(true))),
-                })
+            "tune" => Response::Tune(take_tune_counts(
+                v,
+                TuneSummary {
+                    best: tuned_from(v)?,
+                    degraded: field(v, "degraded", false)?,
+                    ..TuneSummary::default()
+                },
+            )?),
+            "tune_frontier" if done => {
+                Response::TuneFrontierDone(take_frontier_done(v, FrontierDoneSummary::default())?)
             }
-            "stats" => Ok(Response::Stats(ServerStats {
-                cached_points: get_usize(&v, "cached_points", 0)?,
-                hits: get_usize(&v, "hits", 0)? as u64,
-                misses: get_usize(&v, "misses", 0)? as u64,
-                hit_rate: get_f64(&v, "hit_rate", 0.0)?,
-                requests: get_usize(&v, "requests", 0)? as u64,
-                active_jobs: get_usize(&v, "active_jobs", 0)?,
-                queue_capacity: get_usize(&v, "queue_capacity", 0)?,
-                open_connections: get_usize(&v, "open_connections", 0)?,
-                max_connections: get_usize(&v, "max_connections", 0)?,
-                threads: get_usize(&v, "threads", 0)?,
-                loaded_from_disk: get_usize(&v, "loaded_from_disk", 0)?,
-                persistent: matches!(v.get("persistent"), Some(Json::Bool(true))),
-                uptime_s: get_f64(&v, "uptime_s", 0.0)?,
-                inflight_requests: get_usize(&v, "inflight_requests", 0)?,
-                queue_depth: get_usize(&v, "queue_depth", 0)?,
-                slos: get_usize(&v, "slos", 0)?,
-                slo_breach_ticks: get_usize(&v, "slo_breach_ticks", 0)? as u64,
-                shards: match v.get("shards") {
+            "tune_frontier" => {
+                // Required, not defaulted: a NaN budget would poison
+                // every PartialEq on the step downstream.
+                let budget_value = required(
+                    v,
+                    "budget_value",
+                    "tune_frontier step line needs a numeric 'budget_value'",
+                )?;
+                let result = take_step_counts(
+                    v,
+                    FrontierStep {
+                        budget_value,
+                        best: tuned_from(v)?,
+                        ..FrontierStep::default()
+                    },
+                )?;
+                Response::TuneFrontierStep(take_step_position(
+                    v,
+                    FrontierStepSummary {
+                        result,
+                        ..FrontierStepSummary::default()
+                    },
+                )?)
+            }
+            "frontier" if done => Response::FrontierStreamDone {
+                dims: field::<usize>(v, "dims", 3)? as u8,
+                entries: field(v, "entries", 0)?,
+                degraded: field(v, "degraded", false)?,
+            },
+            "frontier" if field(v, "stream", false)? => Response::FrontierStreamEntry {
+                entry: entry_from(v, "frontier stream entry")?,
+            },
+            "frontier" => Response::Frontier {
+                dims: field::<usize>(v, "dims", 3)? as u8,
+                entries: list(v, "entries", "frontier response needs 'entries'", |e| {
+                    entry_from(e, "frontier entry")
+                })?,
+                degraded: field(v, "degraded", false)?,
+            },
+            "stats" => {
+                let shards = match v.get("shards") {
                     None => Vec::new(),
                     Some(arr) => arr
-                        .as_array()
+                        .items()
                         .ok_or_else(|| bad("'shards' must be an array"))?
-                        .iter()
                         .map(|s| {
                             Ok(ShardStat {
-                                addr: s
-                                    .get("addr")
-                                    .and_then(Json::as_str)
-                                    .ok_or_else(|| bad("shard stat needs a string 'addr'"))?
-                                    .to_owned(),
-                                requests: get_usize(s, "requests", 0)? as u64,
-                                errors: get_usize(s, "errors", 0)? as u64,
-                                degraded: matches!(s.get("degraded"), Some(Json::Bool(true))),
+                                addr: required(s, "addr", "shard stat needs a string 'addr'")?,
+                                requests: field(s, "requests", 0)?,
+                                errors: field(s, "errors", 0)?,
+                                degraded: field(s, "degraded", false)?,
                             })
                         })
                         .collect::<Result<_, ProtocolError>>()?,
-                },
-            })),
-            "metrics" => {
-                let entries = v
-                    .get("metrics")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| bad("metrics response needs 'metrics'"))?
-                    .iter()
-                    .map(metric_entry_from_json)
-                    .collect::<Result<_, ProtocolError>>()?;
-                Ok(Response::Metrics {
-                    snapshot: Snapshot {
-                        entries,
-                        uptime_s: get_f64(&v, "uptime_s", 0.0)?,
+                };
+                Response::Stats(take_stats(
+                    v,
+                    ServerStats {
+                        shards,
+                        ..ServerStats::default()
                     },
-                })
+                )?)
             }
+            "metrics" => Response::Metrics {
+                snapshot: Snapshot {
+                    entries: list(
+                        v,
+                        "metrics",
+                        "metrics response needs 'metrics'",
+                        metric_entry_from,
+                    )?,
+                    uptime_s: field(v, "uptime_s", 0.0)?,
+                },
+            },
             "metrics_history" => {
-                let windows = v
-                    .get("windows")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| bad("metrics_history response needs 'windows'"))?
-                    .iter()
-                    .map(|w| {
-                        Ok(HistoryWindow {
-                            window_s: get_f64(w, "window_s", 0.0)?,
-                            duration_s: get_f64(w, "duration_s", 0.0)?,
-                            samples: get_usize(w, "samples", 0)?,
-                            req_per_sec: get_f64(w, "req_per_sec", 0.0)?,
-                            points_per_sec: get_f64(w, "points_per_sec", 0.0)?,
-                            types: type_windows_from_json(w)?,
-                        })
-                    })
-                    .collect::<Result<_, ProtocolError>>()?;
-                Ok(Response::MetricsHistory(Box::new(MetricsHistory {
-                    interval_s: get_f64(&v, "interval_s", 0.0)?,
-                    samples: get_usize(&v, "samples", 0)? as u64,
-                    capacity: get_usize(&v, "capacity", 0)?,
-                    windows,
-                })))
+                let windows = list(
+                    v,
+                    "windows",
+                    "metrics_history response needs 'windows'",
+                    |w| {
+                        let types = type_windows_from(w)?;
+                        take_window(
+                            w,
+                            HistoryWindow {
+                                types,
+                                ..HistoryWindow::default()
+                            },
+                        )
+                    },
+                )?;
+                Response::MetricsHistory(Box::new(take_history(
+                    v,
+                    MetricsHistory {
+                        windows,
+                        ..MetricsHistory::default()
+                    },
+                )?))
             }
+            "watch" if done => Response::WatchDone {
+                samples: field(v, "samples", 0)?,
+            },
             "watch" => {
-                if matches!(v.get("done"), Some(Json::Bool(true))) {
-                    return Ok(Response::WatchDone {
-                        samples: get_usize(&v, "samples", 0)? as u64,
-                    });
-                }
-                Ok(Response::WatchSample(Box::new(WatchSample {
-                    seq: v
-                        .get("seq")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("watch sample line needs an integer 'seq'"))?,
-                    interval_s: get_f64(&v, "interval_s", 0.0)?,
-                    window_s: get_f64(&v, "window_s", 0.0)?,
-                    req_per_sec: get_f64(&v, "req_per_sec", 0.0)?,
-                    points_per_sec: get_f64(&v, "points_per_sec", 0.0)?,
-                    inflight: get_usize(&v, "inflight", 0)? as u64,
-                    active_jobs: get_usize(&v, "active_jobs", 0)? as u64,
-                    queue_depth: get_usize(&v, "queue_depth", 0)? as u64,
-                    cache_hit_rate: get_f64(&v, "cache_hit_rate", 0.0)?,
-                    requests_total: get_usize(&v, "requests_total", 0)? as u64,
-                    queue_wait_p99_us: get_f64(&v, "queue_wait_p99_us", 0.0)?,
-                    execute_p99_us: get_f64(&v, "execute_p99_us", 0.0)?,
-                    types: type_windows_from_json(&v)?,
-                })))
+                // A sample line carries `seq`; the terminal line carries
+                // `done` — a line with neither is malformed.
+                let seq = required(v, "seq", "watch sample line needs an integer 'seq'")?;
+                let types = type_windows_from(v)?;
+                Response::WatchSample(Box::new(take_watch(
+                    v,
+                    WatchSample {
+                        seq,
+                        types,
+                        ..WatchSample::default()
+                    },
+                )?))
             }
             "trace" => {
-                let id = v
-                    .get("id")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("trace response needs an integer 'id'"))?;
-                let spans = v
-                    .get("spans")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| bad("trace response needs 'spans'"))?
-                    .iter()
-                    .map(|s| span_from_json(id, s))
-                    .collect::<Result<_, ProtocolError>>()?;
-                Ok(Response::Trace {
+                let id = required(v, "id", "trace response needs an integer 'id'")?;
+                Response::Trace {
                     id,
-                    dropped: get_usize(&v, "dropped", 0)? as u64,
-                    spans,
-                })
+                    dropped: field(v, "dropped", 0)?,
+                    spans: list(v, "spans", "trace response needs 'spans'", |s| {
+                        span_from(id, s)
+                    })?,
+                }
             }
-            "dump" => Ok(Response::Dump {
-                path: v
-                    .get("path")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("dump response needs a string 'path'"))?
-                    .to_owned(),
-                spans: get_usize(&v, "spans", 0)?,
-                dropped: get_usize(&v, "dropped", 0)? as u64,
-            }),
-            "shutdown" => Ok(Response::Shutdown),
-            other => Err(bad(format!("unknown response type '{other}'"))),
-        }
+            "dump" => Response::Dump {
+                path: required(v, "path", "dump response needs a string 'path'")?,
+                spans: field(v, "spans", 0)?,
+                dropped: field(v, "dropped", 0)?,
+            },
+            "shutdown" => Response::Shutdown,
+            other => return Err(bad(format!("unknown response type '{other}'"))),
+        })
     }
 }
 
@@ -2821,21 +2653,21 @@ mod tests {
             Request::Stats,
             Request::TraceQuery { id: 9 },
         ] {
-            let line = req.encode_with_trace(ctx);
-            let (back, got) = Request::decode_with_trace(&line).unwrap();
+            let line = req.encode_with_meta(Some(ctx), None);
+            let (back, got) = Request::decode_with_meta(&line).unwrap();
             assert_eq!(back, req, "{line}");
-            assert_eq!(got, Some(ctx), "{line}");
+            assert_eq!(got.trace, Some(ctx), "{line}");
             // Plain decode (a pre-tracing daemon) ignores the field.
             assert_eq!(Request::decode(&line).unwrap(), req, "{line}");
         }
         // A root context omits `parent` on the wire and decodes to 0.
-        let line = Request::Stats.encode_with_trace(TraceContext { id: 5, parent: 0 });
+        let line = Request::Stats.encode_with_meta(Some(TraceContext { id: 5, parent: 0 }), None);
         assert!(!line.contains("parent"));
-        let (_, got) = Request::decode_with_trace(&line).unwrap();
-        assert_eq!(got, Some(TraceContext { id: 5, parent: 0 }));
+        let (_, got) = Request::decode_with_meta(&line).unwrap();
+        assert_eq!(got.trace, Some(TraceContext { id: 5, parent: 0 }));
         // Lines without the field decode to no context.
-        let (_, got) = Request::decode_with_trace(r#"{"type":"stats"}"#).unwrap();
-        assert_eq!(got, None);
+        let (_, got) = Request::decode_with_meta(r#"{"type":"stats"}"#).unwrap();
+        assert_eq!(got, RequestMeta::default());
         // Malformed contexts are rejected, not ignored.
         for bad in [
             r#"{"type":"stats","trace":7}"#,
@@ -2844,10 +2676,98 @@ mod tests {
             r#"{"type":"stats","trace":{"id":"yes"}}"#,
             r#"{"type":"stats","trace":{"id":3,"parent":-1}}"#,
         ] {
-            assert!(Request::decode_with_trace(bad).is_err(), "{bad:?}");
+            assert!(Request::decode_with_meta(bad).is_err(), "{bad:?}");
+            // The plain decoder ignores the envelope altogether.
+            assert_eq!(Request::decode(bad).unwrap(), Request::Stats, "{bad:?}");
         }
         // trace_query requires its id.
         assert!(Request::decode(r#"{"type":"trace_query"}"#).is_err());
+    }
+
+    #[test]
+    fn duplicate_keys_keep_the_last_value() {
+        // At every level: envelope, body, nested point, reply fields.
+        let line = r#"{"type":"stats","req":1,"type":"eval","point":{"pes":-5,"pes":288},"req":9}"#;
+        let (req, meta) = Request::decode_with_meta(line).unwrap();
+        let expected = DesignPoint {
+            pes: 288,
+            ..DesignPoint::paper_alexnet()
+        };
+        assert_eq!(req, Request::Eval(expected));
+        assert_eq!(meta.req_id, Some(9));
+        // A later duplicate can also be the bad one.
+        assert!(Request::decode(r#"{"type":"eval","point":{"pes":288,"pes":-5}}"#).is_err());
+        let (reply, req) = Response::decode_with_req(
+            r#"{"ok":true,"type":"watch","done":false,"samples":1,"done":true,"samples":4,"req":2}"#,
+        )
+        .unwrap();
+        assert_eq!(reply, Response::WatchDone { samples: 4 });
+        assert_eq!(req, Some(2));
+    }
+
+    #[test]
+    fn unknown_fields_are_ignored() {
+        let line = r#"{"x":[1,{"y":null}],"type":"eval","future":{"a":"\u00e9"},"point":{"pes":288,"colour":"red"},"z":true}"#;
+        let (req, meta) = Request::decode_with_meta(line).unwrap();
+        assert_eq!(
+            req,
+            Request::Eval(DesignPoint {
+                pes: 288,
+                ..DesignPoint::paper_alexnet()
+            })
+        );
+        assert_eq!(meta, RequestMeta::default());
+        let reply = r#"{"ok":false,"error":"busy","active":3,"capacity":4,"retry_ms":50}"#;
+        assert_eq!(
+            Response::decode(reply).unwrap(),
+            Response::Busy {
+                active: 3,
+                capacity: 4
+            }
+        );
+        // Unknown fields inside a flat record: the result table skips them.
+        let mut eval = Response::Eval {
+            point: DesignPoint::paper_alexnet(),
+            outcome: PointOutcome::Feasible(paper_result()),
+        }
+        .encode();
+        eval.insert_str(eval.len() - 1, r#","energy_pj":[1,2],"note":"x""#);
+        assert!(matches!(
+            Response::decode(&eval).unwrap(),
+            Response::Eval {
+                outcome: PointOutcome::Feasible(r),
+                ..
+            } if r == paper_result()
+        ));
+    }
+
+    #[test]
+    fn request_kinds_cover_every_variant() {
+        let every = [
+            Request::Eval(DesignPoint::paper_alexnet()),
+            Request::EvalBatch(vec![]),
+            Request::Sweep(SweepSpec::paper_point()),
+            Request::Tune(Box::default()),
+            Request::TuneFrontier(Box::default()),
+            Request::Frontier {
+                dims: 3,
+                sqnr: false,
+                stream: false,
+            },
+            Request::Stats,
+            Request::Metrics,
+            Request::MetricsHistory,
+            Request::Watch { samples: 0 },
+            Request::TraceQuery { id: 1 },
+            Request::Dump,
+            Request::Shutdown,
+        ];
+        let kinds: Vec<&str> = every.iter().map(Request::kind).collect();
+        assert_eq!(kinds, Request::TYPES);
+        for request in &every {
+            let line = request.encode();
+            assert!(line.starts_with(&format!(r#"{{"type":"{}""#, request.kind())));
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ use chain_nn_obs::trace::{self as obs_trace, TraceContext};
 use chain_nn_obs::{Counter, Gauge, Histogram, Registry};
 use chain_nn_tuner::{evaluator, frontier, tune, MixEvaluator, TuneError};
 
-use crate::json::Json;
+use crate::json::JsonWriter;
 use crate::protocol::{
     FrontierDoneSummary, FrontierEntry, FrontierStepSummary, HistoryTypeWindow, HistoryWindow,
     MetricsHistory, Request, Response, ServerStats, SweepSummary, TuneSummary, WatchSample,
@@ -233,9 +233,7 @@ impl TraceLog {
 
 /// The serve-layer metric handles that sit on every request's path,
 /// registered once so session threads never take the registry lock for
-/// them. Per-request-type families (`serve_requests_total{type=…}` and
-/// the latency histograms) are resolved through the registry instead —
-/// once per request, off the evaluation hot path.
+/// them.
 struct ServeMetrics {
     /// Requests currently between accept-of-line and reply.
     inflight: Arc<Gauge>,
@@ -250,6 +248,9 @@ struct ServeMetrics {
     cache_misses: Arc<Counter>,
     /// Post-request cache-file flush durations.
     flush_ns: Arc<Histogram>,
+    /// The per-request-type families, one entry per `type` label: every
+    /// request type, then `parse_error` and `unknown`.
+    kinds: Vec<KindMetrics>,
 }
 
 impl ServeMetrics {
@@ -261,7 +262,72 @@ impl ServeMetrics {
             cache_hits: registry.counter("serve_cache_hits_total"),
             cache_misses: registry.counter("serve_cache_misses_total"),
             flush_ns: registry.histogram("serve_flush_ns"),
+            kinds: Request::TYPES
+                .into_iter()
+                .chain(["parse_error", "unknown"])
+                .map(KindMetrics::new)
+                .collect(),
         }
+    }
+
+    /// The handles of one request-type label.
+    fn kind(&self, kind: &str) -> &KindMetrics {
+        let unknown = self.kinds.len() - 1;
+        &self.kinds[self
+            .kinds
+            .iter()
+            .position(|k| k.kind == kind)
+            .unwrap_or(unknown)]
+    }
+}
+
+/// The `{type=…}` metric families of one request type. Each handle is
+/// resolved through the registry the first time it is recorded — not
+/// at bind time — so `query metrics` lists exactly the series that
+/// have been recorded into, and every later request records without
+/// building a key or taking the registry lock.
+struct KindMetrics {
+    kind: &'static str,
+    /// `serve_requests_total`.
+    requests: OnceLock<Arc<Counter>>,
+    /// `serve_request_ns`.
+    latency: OnceLock<Arc<Histogram>>,
+    /// `serve_queue_wait_ns`, for requests that ran scheduler jobs.
+    queue_wait: OnceLock<Arc<Histogram>>,
+    /// `serve_execute_ns`, likewise.
+    execute: OnceLock<Arc<Histogram>>,
+    /// `serve_slow_requests_total`.
+    slow: OnceLock<Arc<Counter>>,
+}
+
+impl KindMetrics {
+    fn new(kind: &'static str) -> KindMetrics {
+        KindMetrics {
+            kind,
+            requests: OnceLock::new(),
+            latency: OnceLock::new(),
+            queue_wait: OnceLock::new(),
+            execute: OnceLock::new(),
+            slow: OnceLock::new(),
+        }
+    }
+
+    fn counter<'a>(
+        &self,
+        slot: &'a OnceLock<Arc<Counter>>,
+        registry: &Registry,
+        name: &str,
+    ) -> &'a Counter {
+        slot.get_or_init(|| registry.counter_with(name, &[("type", self.kind)]))
+    }
+
+    fn histogram<'a>(
+        &self,
+        slot: &'a OnceLock<Arc<Histogram>>,
+        registry: &Registry,
+        name: &str,
+    ) -> &'a Histogram {
+        slot.get_or_init(|| registry.histogram_with(name, &[("type", self.kind)]))
     }
 }
 
@@ -302,10 +368,6 @@ struct RequestSpan {
     cache_hits: u64,
     /// Per-job cache misses attributed to this request.
     cache_misses: u64,
-    /// The client's pipelining id (`"req"`), echoed on every reply
-    /// line of this request. `None` for non-pipelining clients (and
-    /// for lines that never parsed), which keeps the wire unchanged.
-    req_id: Option<u64>,
 }
 
 impl RequestSpan {
@@ -324,7 +386,6 @@ impl RequestSpan {
             points: 0,
             cache_hits: 0,
             cache_misses: 0,
-            req_id: None,
         }
     }
 
@@ -612,16 +673,18 @@ impl Server {
 /// unbounded `read_line` would buffer it into daemon memory wholesale.
 const MAX_REQUEST_BYTES: u64 = 1 << 20;
 
-/// The line-streaming writer every response line goes through: one
-/// `\n`-terminated JSON object per [`LineSink::send`], **flushed
-/// immediately**. For single-reply requests the flush is merely
-/// prompt; for the streaming requests (`tune_frontier`, `frontier`
-/// with `"stream":true`, `watch`) it is the contract — each result
-/// line reaches the client as it is produced, before the next
-/// step/entry/sample is computed.
+/// The line writer every response line of a session goes through: one
+/// `\n`-terminated JSON object per line, encoded into one buffer the
+/// sink keeps for the whole connection, so a reply allocates nothing.
+/// [`LineSink::send`] flushes immediately. For single-reply requests
+/// the flush is merely prompt; for the streaming requests
+/// (`tune_frontier`, `frontier` with `"stream":true`, `watch`) it is
+/// the contract — each result line reaches the client as it is
+/// produced, before the next step/entry/sample is computed.
 pub struct LineSink<'a> {
     writer: &'a mut dyn Write,
     req_id: Option<u64>,
+    wire: String,
 }
 
 impl<'a> LineSink<'a> {
@@ -631,29 +694,50 @@ impl<'a> LineSink<'a> {
         LineSink {
             writer,
             req_id: None,
+            wire: String::new(),
         }
     }
 
-    /// Wraps a transport writer and stamps every line with the
-    /// pipelining id the client sent (`None` leaves the wire
-    /// unchanged). Streamed lines carry the id too — that is what lets
-    /// a pipelining client attribute every line of an interleaved
-    /// session to the request that produced it.
-    pub fn with_id(writer: &'a mut dyn Write, req_id: Option<u64>) -> Self {
-        LineSink { writer, req_id }
+    /// Stamps every following line with the pipelining id of the
+    /// request being answered (`None` leaves the wire unchanged).
+    /// Streamed lines carry the id too — that is what lets a
+    /// pipelining client attribute every line of an interleaved session
+    /// to the request that produced it.
+    pub fn set_req_id(&mut self, req_id: Option<u64>) {
+        self.req_id = req_id;
+    }
+
+    /// Writes one response line into the transport's buffer without
+    /// flushing it.
+    ///
+    /// # Errors
+    ///
+    /// The underlying transport failure — the peer is gone; abandon
+    /// the session.
+    pub fn write(&mut self, response: &Response) -> std::io::Result<()> {
+        self.wire.clear();
+        response.encode_into(self.req_id, &mut self.wire);
+        self.wire.push('\n');
+        self.writer.write_all(self.wire.as_bytes())
+    }
+
+    /// Flushes the buffered lines to the peer.
+    ///
+    /// # Errors
+    ///
+    /// As [`LineSink::write`].
+    pub fn flush(&mut self) -> std::io::Result<()> {
+        self.writer.flush()
     }
 
     /// Writes one response line and flushes it to the peer.
     ///
     /// # Errors
     ///
-    /// The underlying transport failure — the peer is gone; abandon
-    /// the session.
+    /// As [`LineSink::write`].
     pub fn send(&mut self, response: &Response) -> std::io::Result<()> {
-        let mut wire = response.encode_with_req(self.req_id);
-        wire.push('\n');
-        self.writer.write_all(wire.as_bytes())?;
-        self.writer.flush()
+        self.write(response)?;
+        self.flush()
     }
 }
 
@@ -676,12 +760,8 @@ impl RequestOutcome {
 /// Answers one `busy` line on a just-accepted socket and drops it —
 /// the connection-bound refusal path.
 fn refuse_connection(stream: TcpStream, active: usize, capacity: usize) {
-    let mut wire = Response::Busy { active, capacity }.encode();
-    wire.push('\n');
     let mut writer = BufWriter::new(stream);
-    let _ = writer
-        .write_all(wire.as_bytes())
-        .and_then(|()| writer.flush());
+    let _ = LineSink::new(&mut writer).send(&Response::Busy { active, capacity });
 }
 
 /// One session: line in, line out, until EOF or shutdown.
@@ -691,23 +771,20 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
     };
     let mut reader = BufReader::new(peer_read);
     let mut writer = BufWriter::new(stream);
+    let mut sink = LineSink::new(&mut writer);
     let mut line = String::new();
     loop {
         line.clear();
+        sink.set_req_id(None);
         match (&mut reader).take(MAX_REQUEST_BYTES).read_line(&mut line) {
             Ok(0) => return,  // clean EOF
             Err(_) => return, // peer went away
             Ok(_) if line.len() as u64 >= MAX_REQUEST_BYTES && !line.ends_with('\n') => {
                 // Oversized request: answer once, drop the connection
                 // (the rest of the line cannot be resynchronized).
-                let refusal = Response::Error {
+                let _ = sink.send(&Response::Error {
                     message: format!("request exceeds {MAX_REQUEST_BYTES} bytes"),
-                }
-                .encode();
-                let _ = writer
-                    .write_all(refusal.as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"))
-                    .and_then(|()| writer.flush());
+                });
                 return;
             }
             Ok(_) => {}
@@ -720,7 +797,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
         let received = Instant::now();
         shared.metrics.inflight.inc();
         let mut span = RequestSpan::new(shared.next_request_id.fetch_add(1, Ordering::Relaxed));
-        let outcome = handle_request(trimmed, shared, &mut writer, &mut span);
+        let outcome = handle_request(trimmed, shared, &mut sink, &mut span);
         shared.metrics.inflight.dec();
         let status = match &outcome {
             RequestOutcome::Reply(response, _) => match **response {
@@ -734,9 +811,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
         record_span(shared, &span, status, received, received.elapsed());
         match outcome {
             RequestOutcome::Reply(response, stop_after_reply) => {
-                let mut wire = response.encode_with_req(span.req_id);
-                wire.push('\n');
-                if writer.write_all(wire.as_bytes()).is_err() {
+                if sink.write(&response).is_err() {
                     return;
                 }
                 // Pipelining: when the client has already buffered the
@@ -745,7 +820,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 // packets). A lockstep client always sees an immediate
                 // flush — its next line cannot be buffered yet.
                 let more_pending = reader.buffer().contains(&b'\n');
-                if (!more_pending || stop_after_reply) && writer.flush().is_err() {
+                if (!more_pending || stop_after_reply) && sink.flush().is_err() {
                     return;
                 }
                 if stop_after_reply {
@@ -774,21 +849,19 @@ fn record_span(
     total: Duration,
 ) {
     record_trace_spans(span, received, total);
-    let labels: &[(&str, &str)] = &[("type", span.kind)];
     let registry = &shared.registry;
-    registry.counter_with("serve_requests_total", labels).inc();
-    registry
-        .histogram_with("serve_request_ns", labels)
+    let kind = shared.metrics.kind(span.kind);
+    kind.counter(&kind.requests, registry, "serve_requests_total")
+        .inc();
+    kind.histogram(&kind.latency, registry, "serve_request_ns")
         .record_duration(total);
     if span.jobs > 0 {
         // Only requests that ran scheduler jobs carry queue/execute
         // time; recording zeros for stats/metrics/frontier would
         // poison the wait-time quantiles.
-        registry
-            .histogram_with("serve_queue_wait_ns", labels)
+        kind.histogram(&kind.queue_wait, registry, "serve_queue_wait_ns")
             .record_duration(span.queue_wait);
-        registry
-            .histogram_with("serve_execute_ns", labels)
+        kind.histogram(&kind.execute, registry, "serve_execute_ns")
             .record_duration(span.execute);
     }
     if status == "busy" {
@@ -800,8 +873,7 @@ fn record_span(
         .slow_log_us
         .is_some_and(|threshold| total.as_micros() as u64 >= threshold);
     if slow {
-        registry
-            .counter_with("serve_slow_requests_total", labels)
+        kind.counter(&kind.slow, registry, "serve_slow_requests_total")
             .inc();
     }
     let Some(trace) = &shared.trace else { return };
@@ -897,13 +969,13 @@ fn timed_flush(shared: &Shared, span: &mut RequestSpan) {
 }
 
 /// Dispatches one parsed request. Streaming requests write their lines
-/// through `writer` themselves; everything else returns the single
+/// through `sink` themselves; everything else returns the single
 /// reply for the session loop to send (the bool asks the session to
 /// close and trip the daemon shutdown flag after replying).
 fn handle_request(
     line: &str,
     shared: &Arc<Shared>,
-    writer: &mut dyn Write,
+    sink: &mut LineSink<'_>,
     span: &mut RequestSpan,
 ) -> RequestOutcome {
     let parse_started = Instant::now();
@@ -921,7 +993,7 @@ fn handle_request(
         }
     };
     span.parse = parse_started.elapsed();
-    span.req_id = meta.req_id;
+    sink.set_req_id(meta.req_id);
     let ctx = meta.trace;
     // Every well-formed request gets a trace: the client's propagated
     // context when present, a daemon-assigned id otherwise (offset so
@@ -933,21 +1005,7 @@ fn handle_request(
     span.trace_id = ctx.id;
     span.remote_parent = ctx.parent;
     span.root_span = obs_trace::next_span_id();
-    span.kind = match &request {
-        Request::Eval(_) => "eval",
-        Request::EvalBatch(_) => "eval_batch",
-        Request::Sweep(_) => "sweep",
-        Request::Tune(_) => "tune",
-        Request::TuneFrontier(_) => "tune_frontier",
-        Request::Frontier { .. } => "frontier",
-        Request::Stats => "stats",
-        Request::Metrics => "metrics",
-        Request::MetricsHistory => "metrics_history",
-        Request::Watch { .. } => "watch",
-        Request::TraceQuery { .. } => "trace_query",
-        Request::Dump => "dump",
-        Request::Shutdown => "shutdown",
-    };
+    span.kind = request.kind();
     match request {
         Request::Eval(point) => {
             // Cache-hit fast path: a memoized point is answered inline.
@@ -1149,7 +1207,6 @@ fn handle_request(
                     let mut evaluator =
                         SchedulerEvaluator::new(&shared.scheduler, &slot, span.trace_ref());
                     let steps = request.sweep.values.len();
-                    let mut sink = LineSink::with_id(writer, span.req_id);
                     let mut sink_dead = false;
                     let result = frontier::tune_frontier(&request, &mut evaluator, |i, step| {
                         let line = Response::TuneFrontierStep(FrontierStepSummary {
@@ -1223,7 +1280,6 @@ fn handle_request(
                 // shared sink, then the terminal line. For very large
                 // caches the client starts consuming the frontier while
                 // the daemon is still writing it.
-                let mut sink = LineSink::with_id(writer, span.req_id);
                 let total = keep.len();
                 for i in keep {
                     let line = Response::FrontierStreamEntry {
@@ -1312,7 +1368,6 @@ fn handle_request(
             // pushed as the tick lands. No admission slot — a watcher
             // only reads the history ring, and a dashboard must not
             // occupy capacity a sweep could use.
-            let mut sink = LineSink::with_id(writer, span.req_id);
             let mut last_seq = shared.history.lock().expect("history lock poisoned").seq();
             let mut sent: u64 = 0;
             while (samples == 0 || sent < samples) && !shared.shutdown.load(Ordering::SeqCst) {
@@ -1503,21 +1558,12 @@ fn register_flight_recorder(path: PathBuf, shared: &Arc<Shared>) {
     });
 }
 
-/// One span of the flight file. Unlike a `trace` reply (scoped to one
-/// trace id), the flight dump spans every recent trace, so the trace id
-/// is spelled out per span.
-fn flight_span_json(s: &chain_nn_obs::trace::SpanRecord) -> Json {
-    let mut json = crate::protocol::span_to_json(s);
-    if let Json::Obj(fields) = &mut json {
-        fields.insert(0, ("trace".into(), Json::Num(s.trace_id as f64)));
-    }
-    json
-}
-
 /// Writes the flight file: `{"dropped":N,"spans":[...],"metrics":[...]}`
 /// — the span ring's recent contents (oldest first) plus a current
 /// metrics snapshot, so a postmortem sees both what the daemon was
-/// doing and what its counters said. Returns the span count written.
+/// doing and what its counters said. Unlike a `trace` reply (scoped to
+/// one trace id), the dump spans every recent trace, so each span
+/// spells out its trace id. Returns the span count written.
 fn write_flight_file(path: &Path, shared: &Arc<Shared>) -> std::io::Result<usize> {
     let spans = obs_trace::spans();
     let mut records = spans.snapshot();
@@ -1526,26 +1572,24 @@ fn write_flight_file(path: &Path, shared: &Arc<Shared>) -> std::io::Result<usize
         .registry
         .snapshot()
         .merge(chain_nn_obs::global().snapshot());
-    let json = Json::Obj(vec![
-        ("dropped".into(), Json::Num(spans.dropped() as f64)),
-        (
-            "spans".into(),
-            Json::Arr(records.iter().map(flight_span_json).collect()),
-        ),
-        (
-            "metrics".into(),
-            Json::Arr(
-                snapshot
-                    .entries
-                    .iter()
-                    .map(crate::protocol::metric_entry_to_json)
-                    .collect(),
-            ),
-        ),
-    ]);
-    let mut file = File::create(path)?;
-    file.write_all(json.to_string().as_bytes())?;
-    file.write_all(b"\n")?;
+    let mut text = String::new();
+    JsonWriter::new(&mut text).obj(|w| {
+        w.field("dropped", spans.dropped()).key("spans").arr(|w| {
+            for s in &records {
+                w.obj(|w| {
+                    w.field("trace", s.trace_id);
+                    crate::protocol::put_span(s, w);
+                });
+            }
+        });
+        w.key("metrics").arr(|w| {
+            for entry in &snapshot.entries {
+                w.obj(|w| crate::protocol::put_metric_entry(entry, w));
+            }
+        });
+    });
+    text.push('\n');
+    File::create(path)?.write_all(text.as_bytes())?;
     Ok(records.len())
 }
 
@@ -1706,12 +1750,24 @@ mod tests {
         })
     }
 
+    /// Dispatches one request line with a fresh span, writing any
+    /// streamed lines to `probe`.
+    fn handle_one(line: &str, shared: &Arc<Shared>, probe: &mut Probe) -> RequestOutcome {
+        handle_request(
+            line,
+            shared,
+            &mut LineSink::new(probe),
+            &mut RequestSpan::new(0),
+        )
+    }
+
     /// Drives one request line through the same span + record path the
     /// session loop uses, returning the outcome.
     fn handle_instrumented(line: &str, shared: &Arc<Shared>) -> RequestOutcome {
         let received = Instant::now();
         let mut span = RequestSpan::new(shared.next_request_id.fetch_add(1, Ordering::Relaxed));
-        let outcome = handle_request(line, shared, &mut Probe::new(shared), &mut span);
+        let mut probe = Probe::new(shared);
+        let outcome = handle_request(line, shared, &mut LineSink::new(&mut probe), &mut span);
         let status = match &outcome {
             RequestOutcome::Reply(response, _) => match **response {
                 Response::Error { .. } => "error",
@@ -1846,7 +1902,7 @@ mod tests {
         let probe = with_workers(&shared, || {
             let mut probe = Probe::new(&shared);
             let request = r#"{"type":"tune_frontier","sweep":{"axis":"max_system_mw","values":[450,500,550,600]}}"#;
-            let outcome = handle_request(request, &shared, &mut probe, &mut RequestSpan::new(0));
+            let outcome = handle_one(request, &shared, &mut probe);
             assert!(matches!(
                 outcome,
                 RequestOutcome::Streamed { sink_dead: false }
@@ -1892,15 +1948,14 @@ mod tests {
             let mut warmup = Probe::new(&shared);
             let sweep = r#"{"type":"sweep","spec":{"pes":[144,288,576],"nets":"lenet"}}"#;
             assert!(matches!(
-                handle_request(sweep, &shared, &mut warmup, &mut RequestSpan::new(0)),
+                handle_one(sweep, &shared, &mut warmup),
                 RequestOutcome::Reply(r, false) if matches!(*r, Response::Sweep(_))
             ));
             // Aggregate and streamed variants must agree entry for entry.
-            let aggregate = match handle_request(
+            let aggregate = match handle_one(
                 r#"{"type":"frontier","dims":3}"#,
                 &shared,
                 &mut Probe::new(&shared),
-                &mut RequestSpan::new(0),
             ) {
                 RequestOutcome::Reply(r, false) => match *r {
                     Response::Frontier { entries, .. } => entries,
@@ -1909,11 +1964,10 @@ mod tests {
                 _ => panic!("expected a frontier reply"),
             };
             let mut probe = Probe::new(&shared);
-            let outcome = handle_request(
+            let outcome = handle_one(
                 r#"{"type":"frontier","dims":3,"stream":true}"#,
                 &shared,
                 &mut probe,
-                &mut RequestSpan::new(0),
             );
             assert!(matches!(
                 outcome,
@@ -1961,12 +2015,8 @@ mod tests {
             let probe = std::thread::scope(|s| {
                 let watcher = s.spawn(|| {
                     let mut probe = Probe::new(&shared);
-                    let outcome = handle_request(
-                        r#"{"type":"watch","samples":2}"#,
-                        &shared,
-                        &mut probe,
-                        &mut RequestSpan::new(0),
-                    );
+                    let outcome =
+                        handle_one(r#"{"type":"watch","samples":2}"#, &shared, &mut probe);
                     assert!(matches!(
                         outcome,
                         RequestOutcome::Streamed { sink_dead: false }

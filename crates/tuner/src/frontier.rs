@@ -337,7 +337,7 @@ impl FrontierTuneRequest {
 }
 
 /// One completed budget step of a frontier tune.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FrontierStep {
     /// The swept axis' value at this step.
     pub budget_value: f64,

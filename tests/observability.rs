@@ -506,13 +506,15 @@ fn propagated_trace_yields_a_nested_span_tree_across_workers() {
     // The Chrome export round-trips through the JSON parser and keeps
     // one complete event per span, with worker-thread rows as tids.
     let chrome = chain_nn_repro::obs::trace::chrome_trace_json(&spans);
-    let parsed = chain_nn_repro::serve::json::Json::parse(&chrome).expect("valid JSON");
-    let events = parsed
+    let parsed = chain_nn_repro::serve::json::Doc::parse(&chrome).expect("valid JSON");
+    let events: Vec<_> = parsed
+        .root()
         .get("traceEvents")
-        .and_then(|e| e.as_array())
-        .expect("traceEvents array");
+        .and_then(|e| e.items())
+        .expect("traceEvents array")
+        .collect();
     assert_eq!(events.len(), spans.len());
-    for event in events {
+    for event in &events {
         assert_eq!(event.get("ph").and_then(|v| v.as_str()), Some("X"));
         assert!(event.get("name").and_then(|v| v.as_str()).is_some());
         assert!(event.get("ts").and_then(|v| v.as_u64()).is_some());
@@ -665,22 +667,27 @@ fn dump_request_and_panic_hook_write_the_flight_file() {
     let validate = |label: &str| {
         let text = std::fs::read_to_string(&flight_path)
             .unwrap_or_else(|e| panic!("{label}: read flight file: {e}"));
-        let parsed = chain_nn_repro::serve::json::Json::parse(&text)
+        let doc = chain_nn_repro::serve::json::Doc::parse(&text)
             .unwrap_or_else(|e| panic!("{label}: flight file must be valid JSON: {e:?}"));
-        let spans = parsed
+        let parsed = doc.root();
+        let spans: Vec<_> = parsed
             .get("spans")
-            .and_then(|s| s.as_array())
-            .unwrap_or_else(|| panic!("{label}: spans array"));
+            .and_then(|s| s.items())
+            .unwrap_or_else(|| panic!("{label}: spans array"))
+            .collect();
         assert!(!spans.is_empty(), "{label}: no spans in flight file");
         for span in spans {
             assert!(span.get("trace").and_then(|v| v.as_u64()).is_some());
             assert!(span.get("name").and_then(|v| v.as_str()).is_some());
         }
-        let metrics = parsed
+        let mut metrics = parsed
             .get("metrics")
-            .and_then(|m| m.as_array())
+            .and_then(|m| m.items())
             .unwrap_or_else(|| panic!("{label}: metrics array"));
-        assert!(!metrics.is_empty(), "{label}: no metrics in flight file");
+        assert!(
+            metrics.next().is_some(),
+            "{label}: no metrics in flight file"
+        );
         assert!(parsed.get("dropped").and_then(|v| v.as_u64()).is_some());
     };
     validate("dump request");
