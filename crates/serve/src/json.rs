@@ -349,28 +349,36 @@ impl<'d> Node<'d> {
 
     /// The members of an object in document order, duplicates included
     /// (none when this is not an object).
-    pub fn fields(self) -> Fields<'d> {
+    pub fn fields(self) -> impl Iterator<Item = (&'d str, Node<'d>)> {
         let end = match self.tok() {
             Tok::Obj(end) => *end,
-            _ => self.at,
+            _ => self.at + 1,
         };
-        Fields {
-            tape: self.tape,
-            at: self.at + 1,
-            end,
-        }
+        // Keys are `Str` tokens, each followed by its value.
+        let mut run = self.values_until(end);
+        std::iter::from_fn(move || Some((run.next()?.as_str()?, run.next()?)))
     }
 
     /// The elements of an array, when this is one.
-    pub fn items(self) -> Option<Items<'d>> {
+    pub fn items(self) -> Option<impl Iterator<Item = Node<'d>>> {
         match self.tok() {
-            Tok::Arr(end) => Some(Items {
-                tape: self.tape,
-                at: self.at + 1,
-                end: *end,
-            }),
+            Tok::Arr(end) => Some(self.values_until(*end)),
             _ => None,
         }
+    }
+
+    /// The values after this container's header up to tape index
+    /// `end`, each nested value skipped in one step.
+    fn values_until(self, end: usize) -> impl Iterator<Item = Node<'d>> {
+        let tape = self.tape;
+        let mut at = self.at + 1;
+        std::iter::from_fn(move || {
+            (at < end).then(|| {
+                let node = Node { tape, at };
+                at = node.end();
+                node
+            })
+        })
     }
 
     /// Whether this is an object.
@@ -410,57 +418,6 @@ impl<'d> Node<'d> {
             return None;
         }
         Some(n as u64)
-    }
-}
-
-/// Iterator over an object's `(key, value)` members.
-#[derive(Debug, Clone)]
-pub struct Fields<'d> {
-    tape: &'d [Tok<'d>],
-    at: usize,
-    end: usize,
-}
-
-impl<'d> Iterator for Fields<'d> {
-    type Item = (&'d str, Node<'d>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.at >= self.end {
-            return None;
-        }
-        let Tok::Str(key) = &self.tape[self.at] else {
-            return None;
-        };
-        let value = Node {
-            tape: self.tape,
-            at: self.at + 1,
-        };
-        self.at = value.end();
-        Some((key, value))
-    }
-}
-
-/// Iterator over an array's elements.
-#[derive(Debug, Clone)]
-pub struct Items<'d> {
-    tape: &'d [Tok<'d>],
-    at: usize,
-    end: usize,
-}
-
-impl<'d> Iterator for Items<'d> {
-    type Item = Node<'d>;
-
-    fn next(&mut self) -> Option<Node<'d>> {
-        if self.at >= self.end {
-            return None;
-        }
-        let item = Node {
-            tape: self.tape,
-            at: self.at,
-        };
-        self.at = item.end();
-        Some(item)
     }
 }
 
@@ -617,18 +574,12 @@ impl<'a> Parser<'a> {
     fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.eat(b'"')?;
         let start = self.at;
-        // Fast path: scan to the closing quote. `"` and `\` are ASCII,
-        // so they never occur inside a multi-byte UTF-8 sequence.
-        let run = self.bytes()[start..]
-            .iter()
-            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
-            .map_or(self.text.len(), |n| start + n);
-        self.at = run;
+        self.skip_plain();
         if self.peek() == Some(b'"') {
             self.at += 1;
-            return Ok(Cow::Borrowed(&self.text[start..run]));
+            return Ok(Cow::Borrowed(&self.text[start..self.at - 1]));
         }
-        let mut out = String::from(&self.text[start..run]);
+        let mut out = String::from(&self.text[start..self.at]);
         loop {
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
@@ -659,17 +610,23 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Copy up to the next special byte; the cursor only
-                    // ever stops on ASCII, so it stays a char boundary.
                     let from = self.at;
-                    self.at = self.bytes()[from..]
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
-                        .map_or(self.text.len(), |n| from + n);
+                    self.skip_plain();
                     out.push_str(&self.text[from..self.at]);
                 }
             }
         }
+    }
+
+    /// Advances over string bytes that need no decoding, to the next
+    /// `"`, `\` or control byte (or the end). Those are ASCII and never
+    /// occur inside a multi-byte UTF-8 sequence, so the cursor stays on
+    /// a char boundary.
+    fn skip_plain(&mut self) {
+        self.at += self.bytes()[self.at..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .unwrap_or(self.text.len() - self.at);
     }
 
     /// The code point of a `\uXXXX` escape (cursor after the `u`),

@@ -559,24 +559,20 @@ trait FromWire: Sized {
     fn from_wire(v: Node<'_>, key: &str) -> Result<Self, ProtocolError>;
 }
 
-impl FromWire for u64 {
-    fn from_wire(v: Node<'_>, key: &str) -> Result<u64, ProtocolError> {
-        v.as_u64()
-            .ok_or_else(|| bad(format!("'{key}' must be a non-negative integer")))
-    }
+macro_rules! from_wire_int {
+    ($($t:ty),+) => {$(
+        impl FromWire for $t {
+            fn from_wire(v: Node<'_>, key: &str) -> Result<$t, ProtocolError> {
+                let n = v
+                    .as_u64()
+                    .ok_or_else(|| bad(format!("'{key}' must be a non-negative integer")))?;
+                <$t>::try_from(n).map_err(|_| bad(format!("'{key}' out of range")))
+            }
+        }
+    )+};
 }
 
-impl FromWire for usize {
-    fn from_wire(v: Node<'_>, key: &str) -> Result<usize, ProtocolError> {
-        u64::from_wire(v, key).map(|n| n as usize)
-    }
-}
-
-impl FromWire for u32 {
-    fn from_wire(v: Node<'_>, key: &str) -> Result<u32, ProtocolError> {
-        u32::try_from(usize::from_wire(v, key)?).map_err(|_| bad(format!("'{key}' out of range")))
-    }
-}
+from_wire_int!(u64, usize, u32);
 
 impl FromWire for f64 {
     fn from_wire(v: Node<'_>, key: &str) -> Result<f64, ProtocolError> {

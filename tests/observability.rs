@@ -382,6 +382,9 @@ fn query_trace(client: &mut Client, id: u64) -> (u64, Vec<SpanRecord>) {
 /// JSON parser.
 #[test]
 fn propagated_trace_yields_a_nested_span_tree_across_workers() {
+    const SWEEP_PES: usize = 5000;
+    const SWEEP_FREQS: [f64; 4] = [350.0, 500.0, 600.0, 700.0];
+    const SWEEP_POINTS: usize = SWEEP_PES * SWEEP_FREQS.len();
     let (addr, daemon) = start(ServerConfig {
         threads: 2,
         ..ServerConfig::default()
@@ -408,18 +411,23 @@ fn propagated_trace_yields_a_nested_span_tree_across_workers() {
             Response::Eval { .. } => {}
             other => panic!("expected an eval reply, got {other:?}"),
         }
-        // 250 PE counts x 2 clock rates = 500 points, shifted per
-        // attempt so every sweep is cold (cold batches keep both
-        // workers claiming).
-        let base = 2000 + 300 * attempt as usize;
+        // Two workers by construction: the submit wakes both, and the
+        // sweep is sized to outlast the kernel's scheduling period by
+        // an order of magnitude (SWEEP_POINTS cold resnet18 points,
+        // about 100 ms of model time on one worker where the old
+        // 500-point lenet grid took about 2 ms and could finish inside
+        // one time slice). So the second worker runs — and claims —
+        // before the first one can drain the job, even when both share
+        // one core. Shifted per attempt so every sweep is cold.
+        let base = 2000 + SWEEP_PES * attempt as usize;
         let grid = SweepSpec {
-            pes: (base..base + 250).collect(),
-            freqs_mhz: vec![350.0, 700.0],
-            nets: vec!["lenet".into()],
+            pes: (base..base + SWEEP_PES).collect(),
+            freqs_mhz: SWEEP_FREQS.to_vec(),
+            nets: vec!["resnet18".into()],
             ..SweepSpec::paper_point()
         };
         match client.sweep(grid).expect("sweep round trip") {
-            Response::Sweep(s) => assert_eq!(s.points, 500),
+            Response::Sweep(s) => assert_eq!(s.points, SWEEP_POINTS),
             other => panic!("expected a sweep reply, got {other:?}"),
         }
         let (_, got) = query_trace(&mut client, trace_id);
@@ -448,7 +456,7 @@ fn propagated_trace_yields_a_nested_span_tree_across_workers() {
         .expect("sweep root span");
     assert!(spans.iter().all(|s| s.trace_id == trace_id), "{spans:?}");
     assert_eq!(eval_root.parent_id, 0, "client sent no parent");
-    assert_eq!(sweep_root.points, 500, "{sweep_root:?}");
+    assert_eq!(sweep_root.points, SWEEP_POINTS as u32, "{sweep_root:?}");
 
     // Durations nest: every child lies inside its root (1 µs slack for
     // integer-microsecond truncation), and the sweep's queue-wait plus
@@ -501,7 +509,10 @@ fn propagated_trace_yields_a_nested_span_tree_across_workers() {
         .filter(|b| b.parent_id == sweep_root.span_id)
         .map(|b| u64::from(b.points))
         .sum();
-    assert_eq!(batch_points, 500, "every sweep point in some batch");
+    assert_eq!(
+        batch_points, SWEEP_POINTS as u64,
+        "every sweep point in some batch"
+    );
 
     // The Chrome export round-trips through the JSON parser and keeps
     // one complete event per span, with worker-thread rows as tids.
