@@ -27,8 +27,8 @@ use std::fmt::{self, Write as _};
 
 // ---------------------------------------------------------------- writer
 
-/// A scalar the writer can emit as one JSON value.
-pub trait WriteJson {
+/// A value the writer can emit as one JSON value.
+pub(crate) trait WriteJson {
     /// Appends this value's JSON form to `out`.
     fn write_json(&self, out: &mut String);
 }
@@ -139,7 +139,7 @@ fn write_digits(out: &mut String, mut n: u64) {
 
 /// Writes `s` JSON-escaped, with surrounding quotes. Runs of bytes that
 /// need no escape are copied whole.
-pub fn write_escaped(out: &mut String, s: &str) {
+fn write_escaped(out: &mut String, s: &str) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
     let mut start = 0;
@@ -170,21 +170,9 @@ pub fn write_escaped(out: &mut String, s: &str) {
 
 /// Appends one compact JSON document to a caller-owned buffer as it is
 /// described: no intermediate value tree, no per-key allocation. Keys
-/// and values are separated automatically; nesting is a closure.
-///
-/// ```
-/// use chain_nn_serve::json::JsonWriter;
-///
-/// let mut out = String::new();
-/// JsonWriter::new(&mut out).obj(|w| {
-///     w.field("ok", true).field("fps", 326.5);
-///     w.key("idx").arr(|w| {
-///         w.value(1u64).value(2u64);
-///     });
-/// });
-/// assert_eq!(out, r#"{"ok":true,"fps":326.5,"idx":[1,2]}"#);
-/// ```
-pub struct JsonWriter<'b> {
+/// and values are separated automatically; nesting is a closure
+/// (`w.key("point").obj(|w| …)`).
+pub(crate) struct JsonWriter<'b> {
     out: &'b mut String,
     /// Whether the next key or array element needs a leading comma.
     comma: bool,
@@ -192,7 +180,7 @@ pub struct JsonWriter<'b> {
 
 impl<'b> JsonWriter<'b> {
     /// A writer appending to `out`.
-    pub fn new(out: &'b mut String) -> Self {
+    pub(crate) fn new(out: &'b mut String) -> Self {
         JsonWriter { out, comma: false }
     }
 
@@ -203,7 +191,7 @@ impl<'b> JsonWriter<'b> {
     }
 
     /// Writes an object key; the next value written is its value.
-    pub fn key(&mut self, key: &str) -> &mut Self {
+    pub(crate) fn key(&mut self, key: &str) -> &mut Self {
         self.separate();
         write_escaped(self.out, key);
         self.out.push(':');
@@ -213,7 +201,7 @@ impl<'b> JsonWriter<'b> {
 
     /// Writes one scalar value (an object member's value after
     /// [`JsonWriter::key`], or an array element).
-    pub fn value(&mut self, value: impl WriteJson) -> &mut Self {
+    pub(crate) fn value(&mut self, value: impl WriteJson) -> &mut Self {
         self.separate();
         value.write_json(self.out);
         self.comma = true;
@@ -221,17 +209,17 @@ impl<'b> JsonWriter<'b> {
     }
 
     /// Writes one `"key":value` member.
-    pub fn field(&mut self, key: &str, value: impl WriteJson) -> &mut Self {
+    pub(crate) fn field(&mut self, key: &str, value: impl WriteJson) -> &mut Self {
         self.key(key).value(value)
     }
 
     /// Writes an object whose members `body` writes.
-    pub fn obj(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
+    pub(crate) fn obj(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
         self.container('{', '}', body)
     }
 
     /// Writes an array whose elements `body` writes.
-    pub fn arr(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
+    pub(crate) fn arr(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
         self.container('[', ']', body)
     }
 
@@ -298,7 +286,7 @@ impl<'a> Doc<'a> {
             at: 0,
             // About one token per 8 bytes of a protocol line.
             tape: Vec::with_capacity(text.len() / 8 + 4),
-            open: Vec::new(),
+            open: None,
         };
         p.skip_ws();
         p.document()?;
@@ -341,10 +329,21 @@ impl<'d> Node<'d> {
     /// The value of `key`, when this is an object that has it; the last
     /// occurrence wins when the key repeats.
     pub fn get(self, key: &str) -> Option<Node<'d>> {
-        self.fields()
-            .filter(|(k, _)| *k == key)
-            .last()
-            .map(|(_, v)| v)
+        let Tok::Obj(end) = *self.tok() else {
+            return None;
+        };
+        let (mut at, mut found) = (self.at + 1, None);
+        while at < end {
+            let value = Node {
+                tape: self.tape,
+                at: at + 1,
+            };
+            if matches!(&self.tape[at], Tok::Str(k) if k == key) {
+                found = Some(value);
+            }
+            at = value.end();
+        }
+        found
     }
 
     /// The members of an object in document order, duplicates included
@@ -425,8 +424,11 @@ struct Parser<'a> {
     text: &'a str,
     at: usize,
     tape: Vec<Tok<'a>>,
-    /// Tape indices of the containers still open, innermost last.
-    open: Vec<usize>,
+    /// Tape index of the innermost open container. While a container is
+    /// open its header holds the index of the one enclosing it
+    /// (`usize::MAX` at the top), so the open containers form a stack
+    /// threaded through the tape; closing one swaps in its end index.
+    open: Option<usize>,
 }
 
 impl<'a> Parser<'a> {
@@ -468,11 +470,12 @@ impl<'a> Parser<'a> {
             match self.peek() {
                 Some(open @ (b'[' | b'{')) => {
                     self.at += 1;
-                    self.open.push(self.tape.len());
+                    let enclosing = self.open.unwrap_or(usize::MAX);
+                    self.open = Some(self.tape.len());
                     self.tape.push(if open == b'[' {
-                        Tok::Arr(0)
+                        Tok::Arr(enclosing)
                     } else {
-                        Tok::Obj(0)
+                        Tok::Obj(enclosing)
                     });
                     self.skip_ws();
                     let close = if open == b'[' { b']' } else { b'}' };
@@ -493,7 +496,7 @@ impl<'a> Parser<'a> {
             }
             // A value just ended: close every container it completes,
             // or move on to the next element of the innermost one.
-            while let Some(&top) = self.open.last() {
+            while let Some(top) = self.open {
                 let in_array = matches!(self.tape[top], Tok::Arr(_));
                 self.skip_ws();
                 match (self.peek(), in_array) {
@@ -519,11 +522,10 @@ impl<'a> Parser<'a> {
 
     /// Closes the innermost open container at the current tape end.
     fn close(&mut self) {
-        if let Some(start) = self.open.pop() {
-            let end = self.tape.len();
-            if let Tok::Arr(e) | Tok::Obj(e) = &mut self.tape[start] {
-                *e = end;
-            }
+        let end = self.tape.len();
+        if let Some(Tok::Arr(link) | Tok::Obj(link)) = self.open.map(|at| &mut self.tape[at]) {
+            let enclosing = std::mem::replace(link, end);
+            self.open = (enclosing != usize::MAX).then_some(enclosing);
         }
     }
 
@@ -675,8 +677,17 @@ impl<'a> Parser<'a> {
             }
             digits(self);
         }
-        self.text[start..self.at]
-            .parse::<f64>()
+        let text = &self.text[start..self.at];
+        // Up to 15 digits are exact in an f64, so a plain integer needs
+        // no float parser; `as` gives the same double `parse` would.
+        let (sign, digits) = text.strip_prefix('-').map_or((1.0, text), |d| (-1.0, d));
+        if (1..=15).contains(&digits.len()) && digits.bytes().all(|b| b.is_ascii_digit()) {
+            let n = digits
+                .bytes()
+                .fold(0u64, |n, b| n * 10 + u64::from(b - b'0'));
+            return Ok(Tok::Num(sign * n as f64));
+        }
+        text.parse::<f64>()
             .map(Tok::Num)
             .map_err(|_| self.err("bad number"))
     }

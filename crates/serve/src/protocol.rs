@@ -610,18 +610,18 @@ impl FromWire for Vec<usize> {
     }
 }
 
-/// Reads field `key` of `v` into `slot`. An absent field keeps the slot
-/// unless its type is required, or unless `record` names a record whose
-/// fields all are; then absent and mistyped alike are
-/// "`record` field 'key' missing".
+/// Reads field `key`, whose value is `node` when present, into `slot`.
+/// An absent field keeps the slot unless its type is required, or
+/// unless `record` names a record whose fields all are; then absent and
+/// mistyped alike are "`record` field 'key' missing".
 fn take_field<T: FromWire>(
-    v: Node<'_>,
+    node: Option<Node<'_>>,
     key: &str,
     slot: &mut T,
     record: Option<&str>,
 ) -> Result<(), ProtocolError> {
     let missing = |record: &str| bad(format!("{record} field '{key}' missing"));
-    match (v.get(key), record) {
+    match (node, record) {
         (Some(f), None) => *slot = T::from_wire(f, key)?,
         (Some(f), Some(r)) => *slot = T::from_wire(f, key).map_err(|_| missing(r))?,
         (None, Some(r)) => return Err(missing(r)),
@@ -634,7 +634,7 @@ fn take_field<T: FromWire>(
 /// Field `key` of `v`, or `default` when absent.
 fn field<T: FromWire>(v: Node<'_>, key: &str, default: T) -> Result<T, ProtocolError> {
     let mut slot = default;
-    take_field(v, key, &mut slot, None)?;
+    take_field(v.get(key), key, &mut slot, None)?;
     Ok(slot)
 }
 
@@ -656,14 +656,26 @@ fn put_flag(w: &mut JsonWriter<'_>, key: &str, on: bool) {
 /// entry is a stored field, each `"key" => method()` entry a derived,
 /// encode-only one, and the entry order is the wire order. Expands to
 /// `$put`, which writes the members into an open object, and `$take`,
-/// which reads them back onto a base value with [`take_field`]: absent
-/// fields keep their base value (or are errors, when `$record` names a
-/// record whose fields are all required), mistyped ones are errors.
+/// which reads them back onto a base value: one pass over the object's
+/// members matches each key (a later duplicate replaces an earlier
+/// one), then [`take_field`] converts every stored field — absent ones
+/// keep their base value (or are errors, when `$record` names a record
+/// whose fields are all required), mistyped ones are errors.
 macro_rules! wire_record {
-    (@take $x:ident, $v:ident, $record:expr, $key:literal, $field:ident) => {
-        take_field($v, $key, &mut $x.$field, $record)?
+    (@slot $field:ident) => {
+        let mut $field = None;
     };
-    (@take $x:ident, $v:ident, $record:expr, $key:literal, $field:ident ()) => {};
+    (@slot $field:ident ()) => {};
+    (@set $field:ident, $node:ident) => {
+        $field = Some($node)
+    };
+    (@set $field:ident (), $node:ident) => {
+        ()
+    };
+    (@take $x:ident, $record:expr, $key:literal, $field:ident) => {
+        take_field($field, $key, &mut $x.$field, $record)?
+    };
+    (@take $x:ident, $record:expr, $key:literal, $field:ident ()) => {};
     (
         $ty:ty => $put:ident, $take:ident, $record:expr;
         $($key:literal => $field:ident $(($($call:tt)*))?,)+
@@ -673,7 +685,14 @@ macro_rules! wire_record {
         }
 
         fn $take(v: Node<'_>, mut x: $ty) -> Result<$ty, ProtocolError> {
-            $(wire_record!(@take x, v, $record, $key, $field $(($($call)*))?);)+
+            $(wire_record!(@slot $field $(($($call)*))?);)+
+            for (key, node) in v.fields() {
+                match key {
+                    $($key => wire_record!(@set $field $(($($call)*))?, node),)+
+                    _ => {}
+                }
+            }
+            $(wire_record!(@take x, $record, $key, $field $(($($call)*))?);)+
             Ok(x)
         }
     };
@@ -832,6 +851,10 @@ wire_record! {
 }
 
 // ---------------------------------------------------------------- encode
+
+/// Starting capacity of a freshly encoded line: an eval reply is about
+/// 450 bytes, so the common lines are written without regrowing.
+const LINE_CAPACITY: usize = 512;
 
 fn put_outcome(outcome: &PointOutcome, w: &mut JsonWriter<'_>) {
     match outcome {
@@ -1046,7 +1069,7 @@ impl Request {
     /// instead of assuming strict request/reply alternation. Daemons
     /// predating either field ignore it.
     pub fn encode_with_meta(&self, ctx: Option<TraceContext>, req_id: Option<u64>) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(LINE_CAPACITY);
         self.encode_into(RequestMeta { trace: ctx, req_id }, &mut out);
         out
     }
@@ -1054,7 +1077,7 @@ impl Request {
     /// Appends the wire line (no newline) to `out`: `"type"`, then the
     /// envelope's `"trace"` and `"req"` when present, then the body.
     /// Sessions reuse one `out` buffer per connection.
-    pub fn encode_into(&self, meta: RequestMeta, out: &mut String) {
+    pub(crate) fn encode_into(&self, meta: RequestMeta, out: &mut String) {
         JsonWriter::new(out).obj(|w| {
             w.field("type", self.kind());
             if let Some(ctx) = meta.trace {
@@ -1129,7 +1152,7 @@ impl Response {
     /// this for every line it writes in reply to a request that
     /// carried `"req"`.
     pub fn encode_with_req(&self, req_id: Option<u64>) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(LINE_CAPACITY);
         self.encode_into(req_id, &mut out);
         out
     }
@@ -1138,7 +1161,7 @@ impl Response {
     /// plus `"type"`, or `"error"` on failure lines), the envelope's
     /// `"req"` when present, then the body. Sessions reuse one `out`
     /// buffer per connection, so a reply allocates nothing.
-    pub fn encode_into(&self, req_id: Option<u64>, out: &mut String) {
+    pub(crate) fn encode_into(&self, req_id: Option<u64>, out: &mut String) {
         JsonWriter::new(out).obj(|w| {
             match self.head() {
                 Ok(kind) => w.field("ok", true).field("type", kind),

@@ -714,7 +714,7 @@ impl<'a> LineSink<'a> {
     ///
     /// The underlying transport failure — the peer is gone; abandon
     /// the session.
-    pub fn write(&mut self, response: &Response) -> std::io::Result<()> {
+    pub(crate) fn write(&mut self, response: &Response) -> std::io::Result<()> {
         self.wire.clear();
         response.encode_into(self.req_id, &mut self.wire);
         self.wire.push('\n');
@@ -726,7 +726,7 @@ impl<'a> LineSink<'a> {
     /// # Errors
     ///
     /// As [`LineSink::write`].
-    pub fn flush(&mut self) -> std::io::Result<()> {
+    pub(crate) fn flush(&mut self) -> std::io::Result<()> {
         self.writer.flush()
     }
 

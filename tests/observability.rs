@@ -414,11 +414,11 @@ fn propagated_trace_yields_a_nested_span_tree_across_workers() {
         // Two workers by construction: the submit wakes both, and the
         // sweep is sized to outlast the kernel's scheduling period by
         // an order of magnitude (SWEEP_POINTS cold resnet18 points,
-        // about 100 ms of model time on one worker where the old
-        // 500-point lenet grid took about 2 ms and could finish inside
-        // one time slice). So the second worker runs — and claims —
-        // before the first one can drain the job, even when both share
-        // one core. Shifted per attempt so every sweep is cold.
+        // about 100 ms of model time on one worker; a few hundred lenet
+        // points take about 2 ms and can finish inside one time slice).
+        // So the second worker runs — and claims — before the first one
+        // can drain the job, even when both share one core. Shifted per
+        // attempt so every sweep is cold.
         let base = 2000 + SWEEP_PES * attempt as usize;
         let grid = SweepSpec {
             pes: (base..base + SWEEP_PES).collect(),
