@@ -1852,7 +1852,8 @@ impl Response {
             .get("type")
             .and_then(Node::as_str)
             .ok_or_else(|| bad("response needs a string 'type'"))?;
-        let done = field(v, "done", false)?;
+        // Streamed kinds end with a `done` line; flags read leniently.
+        let done = || v.get("done").and_then(Node::as_bool) == Some(true);
         Ok(match kind {
             "eval" => {
                 let point = v
@@ -1904,7 +1905,7 @@ impl Response {
                     ..TuneSummary::default()
                 },
             )?),
-            "tune_frontier" if done => {
+            "tune_frontier" if done() => {
                 Response::TuneFrontierDone(take_frontier_done(v, FrontierDoneSummary::default())?)
             }
             "tune_frontier" => {
@@ -1931,7 +1932,7 @@ impl Response {
                     },
                 )?)
             }
-            "frontier" if done => Response::FrontierStreamDone {
+            "frontier" if done() => Response::FrontierStreamDone {
                 dims: field::<usize>(v, "dims", 3)? as u8,
                 entries: field(v, "entries", 0)?,
                 degraded: field(v, "degraded", false)?,
@@ -2005,7 +2006,7 @@ impl Response {
                     },
                 )?))
             }
-            "watch" if done => Response::WatchDone {
+            "watch" if done() => Response::WatchDone {
                 samples: field(v, "samples", 0)?,
             },
             "watch" => {

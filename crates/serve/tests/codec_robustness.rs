@@ -292,10 +292,23 @@ fn inserted_unknown_fields_and_earlier_duplicates_change_nothing() {
     }
 }
 
+/// A nesting-depth bound only by the line cap: a 20 KB line of nested
+/// brackets used to overflow a session thread's stack and abort the
+/// daemon.
 #[test]
-fn oversized_and_deeply_nested_lines_are_errors_not_crashes() {
-    let deep = format!("{}{}", "[".repeat(1 << 19), "]".repeat(1 << 19));
+fn deeply_nested_lines_decode_without_overflowing_the_stack() {
+    let depth = 1 << 17;
+    let nested = format!(
+        r#"{{"type":"stats","x":{}{}}}"#,
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    let decoded = std::thread::spawn(move || Request::decode_with_meta(&nested))
+        .join()
+        .expect("no stack overflow");
+    assert_eq!(decoded.unwrap().0, Request::Stats);
+    let deep = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
     assert!(Request::decode_with_meta(&deep).is_err());
-    let open = format!("{{\"type\":\"stats\",\"x\":{}", "{\"a\":".repeat(1 << 17));
+    let open = format!(r#"{{"type":"stats","x":{}"#, r#"{"a":"#.repeat(depth));
     assert!(Response::decode_with_req(&open).is_err());
 }
