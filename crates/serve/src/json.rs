@@ -19,8 +19,9 @@
 //! The full value grammar parses, including `\uXXXX` escapes with
 //! surrogate pairs. No comments, no trailing commas, no NaN/Infinity —
 //! by design, since none of those survive a round trip through other
-//! tooling. Open containers are tracked on a heap stack rather than the
-//! call stack, so deeply nested input cannot overflow a thread's stack.
+//! tooling. The parser does not recurse (open containers are chained
+//! through the tape), so deeply nested input cannot overflow a thread's
+//! stack.
 
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};

@@ -1838,6 +1838,27 @@ mod tests {
         // scheduled points; the two warm repeat evals were answered
         // inline from the cache and never entered the scheduler.
         assert_eq!(snapshot.counter("sched_points_total", &[]), Some(3));
+        // Per-type families exist only for the types recorded so far:
+        // their handles resolve on a type's first request, not at bind.
+        let labelled: Vec<(&str, &str)> = snapshot
+            .entries
+            .iter()
+            .filter(|e| e.name.starts_with("serve_") && !e.labels.is_empty())
+            .map(|e| (e.name.as_str(), e.labels[0].1.as_str()))
+            .collect();
+        assert_eq!(
+            labelled,
+            [
+                ("serve_execute_ns", "eval"),
+                ("serve_execute_ns", "sweep"),
+                ("serve_queue_wait_ns", "eval"),
+                ("serve_queue_wait_ns", "sweep"),
+                ("serve_request_ns", "eval"),
+                ("serve_request_ns", "sweep"),
+                ("serve_requests_total", "eval"),
+                ("serve_requests_total", "sweep"),
+            ]
+        );
         // Scrape-time gauges were sampled into the snapshot.
         assert!(snapshot.gauge("serve_uptime_seconds", &[]).expect("uptime") > 0.0);
         assert_eq!(
