@@ -785,6 +785,25 @@ mod tests {
     }
 
     #[test]
+    fn floats_print_exactly_as_display() {
+        // The integral fast path must agree with `{}` digit for digit.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        for i in 0..20_000 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            let x = match i % 3 {
+                0 => f64::from_bits(state),
+                1 => (state >> 11) as f64 / 1024.0,
+                _ => ((state >> 14) as f64).copysign(if state & 1 == 0 { 1.0 } else { -1.0 }),
+            };
+            if x.is_finite() {
+                assert_eq!(encode(x), format!("{x}"), "{:#x}", x.to_bits());
+            }
+        }
+    }
+
+    #[test]
     fn integers_print_as_the_double_the_wire_carries() {
         assert_eq!(encode(0u64), "0");
         assert_eq!(encode(576usize), "576");
