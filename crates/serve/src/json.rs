@@ -5,7 +5,7 @@
 //! client does the reverse), so this module implements just enough
 //! JSON, building no owned value tree either way:
 //!
-//! - [`JsonWriter`] appends compact single-line JSON straight into a
+//! - `JsonWriter` appends compact single-line JSON straight into a
 //!   caller-owned `String`, so a session that reuses one buffer encodes
 //!   a reply without allocating. Floats use the shortest round-trip form
 //!   (Rust's `{}` for `f64`), non-finite floats become `null`, and
@@ -257,7 +257,7 @@ impl std::error::Error for JsonError {}
 /// One tape token. Containers hold the tape index just past their last
 /// token, so a walker skips a nested value in one step; an object's
 /// members follow its header as key (`Str`) / value pairs.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 enum Tok<'a> {
     Null,
     Bool(bool),
@@ -269,7 +269,7 @@ enum Tok<'a> {
 
 /// A parsed JSON document: the flat token tape of one input line,
 /// borrowing its strings from that line.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct Doc<'a> {
     tape: Vec<Tok<'a>>,
 }

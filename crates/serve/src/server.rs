@@ -734,7 +734,8 @@ impl<'a> LineSink<'a> {
     ///
     /// # Errors
     ///
-    /// As [`LineSink::write`].
+    /// The underlying transport failure — the peer is gone; abandon
+    /// the session.
     pub fn send(&mut self, response: &Response) -> std::io::Result<()> {
         self.write(response)?;
         self.flush()
