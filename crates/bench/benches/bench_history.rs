@@ -17,10 +17,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use chain_nn_bench::history::{self, BenchRecord};
+use chain_nn_dse::engine::{ClaimPolicy, DEFAULT_MAX_CLAIM};
 use chain_nn_dse::{executor, DesignPoint, PointCache, SweepSpec};
 use chain_nn_serve::cluster::{ClusterConfig, Coordinator};
 use chain_nn_serve::protocol::Request;
-use chain_nn_serve::scheduler::{ClaimPolicy, BATCH_SIZE};
 use chain_nn_serve::server::{Server, ServerConfig};
 use chain_nn_serve::{Client, Response};
 
@@ -216,8 +216,10 @@ fn eval_wait_under_sweep(claim: ClaimPolicy) -> (f64, f64, usize) {
 /// below). If adaptivity breaks, the adaptive p99 reverts to
 /// fixed-batch territory (~8x) and trips the gate on its own row.
 fn measure_mixed() -> Vec<BenchRecord> {
-    let (_, fixed_p99, fixed_n) = eval_wait_under_sweep(ClaimPolicy::Fixed(BATCH_SIZE));
-    let (p50, p99, n) = eval_wait_under_sweep(ClaimPolicy::Adaptive { max: BATCH_SIZE });
+    let (_, fixed_p99, fixed_n) = eval_wait_under_sweep(ClaimPolicy::Fixed(DEFAULT_MAX_CLAIM));
+    let (p50, p99, n) = eval_wait_under_sweep(ClaimPolicy::Adaptive {
+        max: DEFAULT_MAX_CLAIM,
+    });
     println!(
         "mixed: eval queue-wait p99 {:.1} us adaptive vs {:.1} us fixed \
          ({:.1}x better; {n} / {fixed_n} evals pumped)",

@@ -803,15 +803,13 @@ fn compact_cmd(flags: &Flags) -> CmdResult {
 }
 
 fn serve_cmd(flags: &Flags) -> CmdResult {
-    use chain_nn_serve::scheduler::ClaimPolicy;
+    use chain_nn_dse::engine::{ClaimPolicy, DEFAULT_MAX_CLAIM};
     // A shard list turns this process into a cluster coordinator
     // instead of an evaluating daemon.
     if flags.get_str("shards").is_some() || flags.get_or("coordinator", false)? {
         return coordinator_cmd(flags);
     }
-    let batch = flags
-        .get_or("batch", chain_nn_serve::scheduler::BATCH_SIZE)?
-        .max(1);
+    let batch = flags.get_or("batch", DEFAULT_MAX_CLAIM)?.max(1);
     let claim = match flags.get_str("claim").unwrap_or("adaptive") {
         "adaptive" => ClaimPolicy::Adaptive { max: batch },
         "fixed" => ClaimPolicy::Fixed(batch),

@@ -212,7 +212,10 @@ impl JobCore {
 struct Completion {
     state: Mutex<CompletionState>,
     cv: Condvar,
-    slot: SlotOwnership,
+    /// Whether completing this job releases an admission slot: true
+    /// for jobs submitted without an [`AdmissionSlot`], whose own
+    /// admission ends with them; a held slot releases on drop instead.
+    owns_slot: bool,
     /// When the job entered the queue.
     submitted: Instant,
     /// When a worker first claimed a range of it. A `OnceLock` rather
@@ -243,15 +246,6 @@ struct CompletionState {
     /// so a submitter that got its result can submit again at once
     /// without being refused by its own finished job.
     released: bool,
-}
-
-/// Whether completing this job releases an admission slot. Jobs from
-/// [`Engine::submit`] own their slot; jobs from [`Engine::submit_in`]
-/// run inside an [`AdmissionSlot`] that releases on drop instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotOwnership {
-    Owned,
-    External,
 }
 
 /// Everything one finished job produced.
@@ -361,22 +355,14 @@ pub struct Engine {
 impl Engine {
     /// An engine admitting at most `capacity` concurrent jobs under
     /// `policy`. Metrics land in a private throwaway registry; use
-    /// [`Engine::with_registry`] to surface them.
+    /// [`Engine::with_metrics`] to surface them.
     #[must_use]
     pub fn new(capacity: usize, policy: ClaimPolicy) -> Engine {
-        Engine::with_registry(capacity, policy, &Registry::new())
-    }
-
-    /// [`Engine::new`], registering the claim metrics in `registry`
-    /// under the `sched` prefix with `batch` spans — the daemon
-    /// scheduler's catalog names.
-    #[must_use]
-    pub fn with_registry(capacity: usize, policy: ClaimPolicy, registry: &Registry) -> Engine {
         Engine::with_metrics(
             capacity,
             policy,
-            EngineMetrics::register(registry, "sched"),
-            "batch",
+            EngineMetrics::register(&Registry::new(), "engine"),
+            "claim",
         )
     }
 
@@ -414,12 +400,6 @@ impl Engine {
         self.capacity
     }
 
-    /// The claim policy this engine was built with.
-    #[must_use]
-    pub fn policy(&self) -> ClaimPolicy {
-        self.policy
-    }
-
     /// Jobs admitted and not yet finished.
     #[must_use]
     pub fn active_jobs(&self) -> usize {
@@ -450,7 +430,7 @@ impl Engine {
         self.completed_total.load(Ordering::Relaxed)
     }
 
-    fn completion(total: usize, slot: SlotOwnership) -> Arc<Completion> {
+    fn completion(total: usize, owns_slot: bool) -> Arc<Completion> {
         Arc::new(Completion {
             state: Mutex::new(CompletionState {
                 results: Vec::with_capacity(total),
@@ -464,48 +444,57 @@ impl Engine {
                 released: total == 0,
             }),
             cv: Condvar::new(),
-            slot,
+            owns_slot,
             submitted: Instant::now(),
             first_claimed: OnceLock::new(),
             finished_at: OnceLock::new(),
         })
     }
 
-    /// Admits `points` as one job.
+    /// Admits `points` as one job holding its own admission slot: a
+    /// one-line call of [`Engine::submit_with`], kept under this
+    /// signature because the benchmark's engine-jobs workload calls it.
     ///
     /// # Errors
     ///
     /// [`SubmitError::Busy`] at the admission bound;
     /// [`SubmitError::ShuttingDown`] once shutdown began.
     pub fn submit(&self, points: Vec<DesignPoint>) -> Result<JobHandle, SubmitError> {
-        self.submit_traced(points, None)
+        self.submit_with(points, None, None)
     }
 
-    /// [`Engine::submit`], tagging the job so every range a worker
-    /// claims from it records a span under `trace`.
+    /// Enqueues `points` as one job.
+    ///
+    /// With `slot: None` the job is admission-checked and holds its own
+    /// slot until it completes. With `slot: Some` it runs inside an
+    /// already-held [`AdmissionSlot`] instead: no capacity check (the
+    /// slot is the capacity), and completion releases nothing — the
+    /// slot releases when it drops. The borrow ties the job to its
+    /// slot, so a round cannot outlive the admission it runs under.
+    ///
+    /// With `trace: Some`, every range a worker claims from the job
+    /// records a span under it.
     ///
     /// # Errors
     ///
-    /// Exactly [`Engine::submit`]'s.
-    pub fn submit_traced(
+    /// [`SubmitError::Busy`] at the admission bound (only without a
+    /// slot); [`SubmitError::ShuttingDown`] once shutdown began — a
+    /// held slot does not exempt *new* rounds from the drain.
+    pub fn submit_with(
         &self,
         points: Vec<DesignPoint>,
+        slot: Option<&AdmissionSlot<'_>>,
         trace: Option<TraceRef>,
     ) -> Result<JobHandle, SubmitError> {
         let total = points.len();
-        let done = Engine::completion(total, SlotOwnership::Owned);
+        let done = Engine::completion(total, slot.is_none());
         {
             let mut state = self.state.lock().expect("engine lock poisoned");
-            if state.shutting_down {
+            if slot.is_none() {
+                self.reserve(&mut state)?;
+            } else if state.shutting_down {
                 return Err(SubmitError::ShuttingDown);
             }
-            if state.active >= self.capacity {
-                return Err(SubmitError::Busy {
-                    active: state.active,
-                    capacity: self.capacity,
-                });
-            }
-            state.active += 1;
             if total > 0 {
                 state.jobs.push(Arc::new(JobCore {
                     points: Arc::new(points),
@@ -514,7 +503,7 @@ impl Engine {
                     done: Arc::clone(&done),
                     trace,
                 }));
-            } else {
+            } else if slot.is_none() {
                 // An empty job completes immediately; it was still
                 // admission-checked so capacity semantics are uniform.
                 state.active -= 1;
@@ -526,7 +515,7 @@ impl Engine {
 
     /// Reserves one admission slot without submitting work yet — the
     /// entry point for iterative requests that will run several
-    /// [`Engine::submit_in`] rounds under a single unit of admission.
+    /// [`Engine::submit_with`] rounds under a single unit of admission.
     /// The slot is released when the returned guard drops.
     ///
     /// # Errors
@@ -534,7 +523,13 @@ impl Engine {
     /// [`SubmitError::Busy`] at the admission bound;
     /// [`SubmitError::ShuttingDown`] once shutdown began.
     pub fn admit(&self) -> Result<AdmissionSlot<'_>, SubmitError> {
-        let mut state = self.state.lock().expect("engine lock poisoned");
+        self.reserve(&mut self.state.lock().expect("engine lock poisoned"))?;
+        Ok(AdmissionSlot { engine: self })
+    }
+
+    /// The admission check: counts one more active job unless the
+    /// engine is draining or at its bound.
+    fn reserve(&self, state: &mut EngineState) -> Result<(), SubmitError> {
         if state.shutting_down {
             return Err(SubmitError::ShuttingDown);
         }
@@ -545,57 +540,7 @@ impl Engine {
             });
         }
         state.active += 1;
-        Ok(AdmissionSlot { engine: self })
-    }
-
-    /// Enqueues `points` as one job inside an already-held admission
-    /// slot: no capacity check (the slot is the capacity), same claim
-    /// protocol as every other job. The borrow ties the job to its
-    /// slot, so a round cannot outlive the admission it runs under.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::ShuttingDown`] once shutdown began — admitted
-    /// slots do not exempt *new* rounds from the drain.
-    pub fn submit_in(
-        &self,
-        slot: &AdmissionSlot<'_>,
-        points: Vec<DesignPoint>,
-    ) -> Result<JobHandle, SubmitError> {
-        self.submit_in_traced(slot, points, None)
-    }
-
-    /// [`Engine::submit_in`], tagging the round's job so its claim
-    /// spans land under `trace` (the tune request's root span).
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`Engine::submit_in`]'s.
-    pub fn submit_in_traced(
-        &self,
-        _slot: &AdmissionSlot<'_>,
-        points: Vec<DesignPoint>,
-        trace: Option<TraceRef>,
-    ) -> Result<JobHandle, SubmitError> {
-        let total = points.len();
-        let done = Engine::completion(total, SlotOwnership::External);
-        {
-            let mut state = self.state.lock().expect("engine lock poisoned");
-            if state.shutting_down {
-                return Err(SubmitError::ShuttingDown);
-            }
-            if total > 0 {
-                state.jobs.push(Arc::new(JobCore {
-                    points: Arc::new(points),
-                    cursor: AtomicUsize::new(0),
-                    completed: AtomicUsize::new(0),
-                    done: Arc::clone(&done),
-                    trace,
-                }));
-            }
-        }
-        self.work_ready.notify_all();
-        Ok(JobHandle { done })
+        Ok(())
     }
 
     /// The non-blocking claim core. Every cursor bump happens under
@@ -791,7 +736,7 @@ impl Engine {
         };
         if job_complete {
             self.remove_job(done);
-            if done.slot == SlotOwnership::Owned {
+            if done.owns_slot {
                 self.finish_job();
             }
             done.state
@@ -846,9 +791,11 @@ mod tests {
             for w in 0..n {
                 scope.spawn(move || engine.worker_loop_indexed(w as u32, cache));
             }
-            let out = body();
+            // Shut down even when `body` panics: otherwise a failed
+            // assertion leaves the workers waiting and the scope hangs.
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
             engine.begin_shutdown();
-            out
+            out.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
         })
     }
 
@@ -968,6 +915,7 @@ mod tests {
         let job = handle.wait().unwrap();
         assert_eq!(job.outcomes.len(), points.len());
         assert_eq!(engine.queue_depth(), 0);
+        assert_eq!(engine.active_jobs(), 0);
         // And nothing new gets in.
         assert_eq!(
             engine.submit(points).unwrap_err(),
@@ -993,12 +941,18 @@ mod tests {
         let h = engine.submit(good.clone()).unwrap();
         while engine.run_one_claim(&cache) {}
         assert_eq!(h.wait().unwrap().outcomes.len(), good.len());
+        assert_eq!(engine.active_jobs(), 0);
     }
 
     #[test]
     fn completed_points_reconcile_with_the_metric() {
         let registry = Registry::new();
-        let engine = Engine::with_registry(4, ClaimPolicy::Fixed(3), &registry);
+        let engine = Engine::with_metrics(
+            4,
+            ClaimPolicy::Fixed(3),
+            EngineMetrics::register(&registry, "sched"),
+            "batch",
+        );
         let cache = PointCache::new();
         let points = grid(vec![25, 50, 100, 200]);
         let handle = engine.submit(points.clone()).unwrap();
@@ -1010,7 +964,203 @@ mod tests {
             snap.counter("sched_points_total", &[]),
             Some(points.len() as u64)
         );
+        // 8 points at fixed claim size 3 is 3 claims: 3 + 3 + 2.
+        assert_eq!(snap.counter("sched_batches_total", &[]), Some(3));
+        let eval = snap.histogram("sched_batch_eval_ns", &[]).unwrap();
+        assert_eq!(eval.count, 3);
+        assert!(eval.sum > 0);
         let claims = snap.histogram("sched_claim_points", &[]).unwrap();
-        assert_eq!(claims.sum, points.len() as u64);
+        assert_eq!((claims.count, claims.sum), (3, points.len() as u64));
+    }
+
+    #[test]
+    fn admission_bound_returns_busy() {
+        // No workers: submitted jobs just sit there.
+        let engine = Engine::new(2, ClaimPolicy::adaptive());
+        let p = grid(vec![25]);
+        let _a = engine.submit(p.clone()).unwrap();
+        let _b = engine.submit(p.clone()).unwrap();
+        match engine.submit(p) {
+            Err(SubmitError::Busy { active, capacity }) => {
+                assert_eq!((active, capacity), (2, 2));
+            }
+            other => panic!("expected busy, got {other:?}"),
+        }
+        assert_eq!(engine.active_jobs(), 2);
+        // Depth is in points: two untouched 2-point jobs.
+        assert_eq!(engine.queue_depth(), 4);
+    }
+
+    #[test]
+    fn concurrent_jobs_share_the_cache() {
+        let engine = Engine::new(4, ClaimPolicy::Adaptive { max: 4 });
+        let cache = PointCache::new();
+        let a = grid(vec![25, 50, 100]);
+        let b = grid(vec![50, 100, 200]); // overlaps on 50 and 100
+        with_workers(&engine, &cache, 2, || {
+            std::thread::scope(|scope| {
+                let ha = scope.spawn(|| engine.submit(a).unwrap().wait().unwrap());
+                let hb = scope.spawn(|| engine.submit(b).unwrap().wait().unwrap());
+                ha.join().unwrap();
+                hb.join().unwrap();
+            });
+        });
+        let stats = cache.stats();
+        // 8 distinct points across both grids; 12 total lookups. The
+        // overlap may race (both jobs miss the same point before either
+        // inserts), so distinct misses is a lower bound — but combined
+        // misses must beat two standalone runs (6 + 6).
+        assert!(stats.misses >= 8);
+        assert!(stats.misses < 12, "overlapping jobs must share: {stats:?}");
+        assert_eq!(stats.hits + stats.misses, 12);
+    }
+
+    #[test]
+    fn big_job_does_not_starve_small_one() {
+        // One worker, one-point claims: the small job is picked up
+        // within one rotation turn even though a big job was admitted
+        // first. (Timing-free check: both complete.)
+        let engine = Engine::new(4, ClaimPolicy::Adaptive { max: 1 });
+        let cache = PointCache::new();
+        let big = grid((1..=40).map(|i| i * 25).collect());
+        let small = grid(vec![25]);
+        with_workers(&engine, &cache, 1, || {
+            let hb = engine.submit(big.clone()).unwrap();
+            let hs = engine.submit(small.clone()).unwrap();
+            assert_eq!(hs.wait().unwrap().outcomes.len(), small.len());
+            assert_eq!(hb.wait().unwrap().outcomes.len(), big.len());
+        });
+    }
+
+    #[test]
+    fn admission_slot_spans_rounds_and_counts_once() {
+        let engine = Engine::new(2, ClaimPolicy::Adaptive { max: 2 });
+        let cache = PointCache::new();
+        with_workers(&engine, &cache, 2, || {
+            let slot = engine.admit().unwrap();
+            assert_eq!(engine.active_jobs(), 1);
+            // Several rounds under the one slot: active never grows.
+            for pes in [25, 50, 100] {
+                let out = engine
+                    .submit_with(grid(vec![pes]), Some(&slot), None)
+                    .unwrap()
+                    .wait()
+                    .unwrap();
+                assert_eq!(out.outcomes.len(), 2);
+                assert_eq!(engine.active_jobs(), 1);
+            }
+            // A plain submit still fits beside the slot; a second slot
+            // at capacity does not.
+            engine.submit(grid(vec![200])).unwrap().wait().unwrap();
+            let second = engine.admit().unwrap();
+            assert!(matches!(engine.admit(), Err(SubmitError::Busy { .. })));
+            drop(second);
+            drop(slot);
+        });
+        assert_eq!(engine.active_jobs(), 0);
+    }
+
+    #[test]
+    fn slot_rounds_refuse_after_shutdown() {
+        let engine = Engine::new(2, ClaimPolicy::adaptive());
+        let slot = engine.admit().unwrap();
+        engine.begin_shutdown();
+        assert_eq!(
+            engine
+                .submit_with(grid(vec![25]), Some(&slot), None)
+                .unwrap_err(),
+            SubmitError::ShuttingDown
+        );
+        drop(slot);
+        assert_eq!(engine.active_jobs(), 0);
+    }
+
+    #[test]
+    fn empty_jobs_complete_immediately_with_or_without_a_slot() {
+        // No workers exist; an empty job must not wait on them.
+        let engine = Engine::new(2, ClaimPolicy::adaptive());
+        let out = engine.submit(Vec::new()).unwrap().wait().unwrap();
+        assert!(out.outcomes.is_empty());
+        assert_eq!(engine.active_jobs(), 0);
+        let slot = engine.admit().unwrap();
+        let out = engine
+            .submit_with(Vec::new(), Some(&slot), None)
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert!(out.outcomes.is_empty());
+        assert_eq!(engine.active_jobs(), 1);
+        drop(slot);
+        assert_eq!(engine.active_jobs(), 0);
+    }
+
+    #[test]
+    fn job_timing_separates_queue_wait_from_execute() {
+        let engine = Engine::new(4, ClaimPolicy::Adaptive { max: 2 });
+        let cache = PointCache::new();
+        let points = grid(vec![25, 50, 100]);
+        let (job, empty) = with_workers(&engine, &cache, 1, || {
+            let job = engine.submit(points).unwrap().wait().unwrap();
+            // An empty job is never claimed: both stages are zero.
+            let empty = engine.submit(Vec::new()).unwrap().wait().unwrap();
+            (job, empty)
+        });
+        // The job was actually claimed and evaluated, so execution took
+        // measurable time; both stages are reported independently.
+        assert!(job.execute > Duration::ZERO);
+        assert!(job.queue_wait + job.execute > Duration::ZERO);
+        assert_eq!(empty.queue_wait, Duration::ZERO);
+        assert_eq!(empty.execute, Duration::ZERO);
+    }
+
+    #[test]
+    fn a_job_in_a_held_slot_skips_admission_and_releases_nothing() {
+        // Capacity 1, taken by the slot: a plain submit is refused, but
+        // a job inside the slot is enqueued at capacity.
+        let engine = Engine::new(1, ClaimPolicy::Fixed(2));
+        let cache = PointCache::new();
+        let slot = engine.admit().unwrap();
+        assert!(matches!(
+            engine.submit(grid(vec![25])),
+            Err(SubmitError::Busy { .. })
+        ));
+        let points = grid(vec![25, 50, 100]);
+        let handle = engine
+            .submit_with(points.clone(), Some(&slot), None)
+            .unwrap();
+        assert_eq!(engine.queue_depth(), points.len());
+        while engine.run_one_claim(&cache) {}
+        assert_eq!(handle.wait().unwrap().outcomes.len(), points.len());
+        // The completed job gave back no admission: the slot still
+        // holds the only one until it drops.
+        assert_eq!(engine.active_jobs(), 1);
+        drop(slot);
+        assert_eq!(engine.active_jobs(), 0);
+    }
+
+    #[test]
+    fn a_traced_job_records_one_span_per_claim_under_its_parent() {
+        let engine = Engine::new(4, ClaimPolicy::Fixed(4));
+        let cache = PointCache::new();
+        // The span ring is process-global: a fresh trace id keeps other
+        // tests' spans out of this one's view.
+        let trace = TraceRef {
+            trace_id: chain_nn_obs::trace::next_trace_id(),
+            parent_span: chain_nn_obs::trace::next_span_id(),
+        };
+        let points = grid((1..=5).map(|i| i * 25).collect()); // 10 points
+        let handle = engine
+            .submit_with(points.clone(), None, Some(trace))
+            .unwrap();
+        while engine.run_one_claim(&cache) {}
+        handle.wait().unwrap();
+        let spans = chain_nn_obs::trace::spans().for_trace(trace.trace_id);
+        // 10 points at fixed claim size 4: claims of 4, 4 and 2.
+        assert_eq!(spans.len(), 3);
+        assert!(spans
+            .iter()
+            .all(|s| s.name == engine.span_name && s.parent_id == trace.parent_span));
+        let points_seen: u64 = spans.iter().map(|s| u64::from(s.points)).sum();
+        assert_eq!(points_seen, points.len() as u64);
     }
 }

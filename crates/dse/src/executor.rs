@@ -123,8 +123,9 @@ pub fn run(
         "chunk",
     );
     let handle = engine
-        .submit_traced(
+        .submit_with(
             points.to_vec(),
+            None,
             trace.map(|(trace_id, root)| TraceRef {
                 trace_id,
                 parent_span: root,

@@ -18,21 +18,19 @@
 //! * [`slo`] — latency service-level objectives (`eval:p99_us=500`)
 //!   evaluated every sampler tick over the trailing 10 s window, with
 //!   per-SLO compliance and error-budget gauges in the registry.
-//! * [`scheduler`] — the daemon's binding of the work-assisting
-//!   engine (`chain_nn_dse::engine`): per-request point lists with
-//!   atomic claim cursors, adaptive claim sizes (big for a lone
-//!   sweep, 1–4 points while interactive evals wait), bounded
-//!   admission with an explicit `busy` reply as backpressure.
-//!   Iterative requests (the auto-tuner) hold one admission slot
-//!   across their rounds ([`scheduler::AdmissionSlot`]) while each
-//!   round interleaves with everyone else's sweeps.
 //! * [`server`] — `std::net::TcpListener` accept loop, session threads,
 //!   the worker pool, cache-file replay at startup and append-flush on
 //!   completed requests and shutdown (std-only: the build environment
 //!   has no async runtime, and a worker pool over blocking sockets
-//!   serves this protocol fine).
+//!   serves this protocol fine). Every request's points run on the
+//!   work-assisting engine ([`chain_nn_dse::engine`]): per-request
+//!   point lists with atomic claim cursors, adaptive claim sizes,
+//!   bounded admission with an explicit `busy` reply as backpressure,
+//!   and one admission slot held across an auto-tune's rounds.
 //! * [`client`] — blocking client used by `chain-nn query` and tests.
-//! * [`json`] — the dependency-free JSON tree both sides parse with.
+//! * [`json`] — the dependency-free codec both sides share: `JsonWriter`
+//!   encodes a line into one reused buffer, and the [`json::Doc`] token
+//!   tape parses a line without building a tree.
 //!
 //! # Example
 //!
@@ -73,7 +71,6 @@ pub mod client;
 pub mod cluster;
 pub mod json;
 pub mod protocol;
-pub mod scheduler;
 pub mod server;
 pub mod slo;
 

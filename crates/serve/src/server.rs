@@ -1,11 +1,11 @@
 //! The explorer daemon: TCP accept loop, per-connection sessions, the
 //! worker pool, and cache persistence.
 //!
-//! One [`Server`] owns one [`Scheduler`] (and through it the one shared
-//! [`PointCache`]). Each accepted connection gets a session thread that
-//! reads request lines, submits work, and writes response lines; the
-//! actual evaluations happen on the scheduler's worker pool, where
-//! batches from all sessions interleave fairly. With a cache file
+//! One [`Server`] owns one work-assisting [`Engine`] and the one shared
+//! [`PointCache`] it evaluates through. Each accepted connection gets a
+//! session thread that reads request lines, submits work, and writes
+//! response lines; the actual evaluations happen on the engine's worker
+//! pool, where claims from all sessions interleave fairly. With a cache file
 //! attached, the daemon replays it before accepting connections and
 //! appends every completed request's fresh evaluations (plus a final
 //! sweep at shutdown), so a restarted daemon re-serves prior sweeps
@@ -23,6 +23,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Once, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
+use chain_nn_dse::engine::{
+    AdmissionSlot, ClaimPolicy, Engine, EngineMetrics, JobResult, SubmitError, TraceRef,
+    DEFAULT_MAX_CLAIM,
+};
 use chain_nn_dse::{pareto, CacheFile, DesignPoint, MixOutcome, PointCache, WorkloadMix};
 use chain_nn_obs::timeseries::{TimeSeries, Window};
 use chain_nn_obs::trace::{self as obs_trace, TraceContext};
@@ -34,7 +38,6 @@ use crate::protocol::{
     FrontierDoneSummary, FrontierEntry, FrontierStepSummary, HistoryTypeWindow, HistoryWindow,
     MetricsHistory, Request, Response, ServerStats, SweepSummary, TuneSummary, WatchSample,
 };
-use crate::scheduler::{AdmissionSlot, ClaimPolicy, Scheduler, SubmitError, TraceRef, BATCH_SIZE};
 use crate::slo::{SloSpec, SloTracker};
 
 /// How the daemon is set up. `Default` binds an ephemeral loopback
@@ -52,8 +55,8 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// How many points one scheduling turn claims. The default
     /// adapts to traffic ([`ClaimPolicy::Adaptive`] up to
-    /// [`BATCH_SIZE`]): big claims while one sweep owns the queue,
-    /// [`crate::scheduler::CONTENDED_CLAIM`]-sized ones while
+    /// [`DEFAULT_MAX_CLAIM`]): big claims while one sweep owns the queue,
+    /// [`chain_nn_dse::engine::CONTENDED_CLAIM`]-sized ones while
     /// interactive evals wait behind it. [`ClaimPolicy::Fixed`]
     /// restores the pre-engine fixed-batch behavior (the mixed-traffic
     /// bench's comparison baseline).
@@ -104,7 +107,9 @@ impl Default for ServerConfig {
             port: 0,
             threads: chain_nn_dse::executor::default_threads(),
             queue_capacity: 16,
-            claim: ClaimPolicy::Adaptive { max: BATCH_SIZE },
+            claim: ClaimPolicy::Adaptive {
+                max: DEFAULT_MAX_CLAIM,
+            },
             max_connections: 64,
             cache_capacity: None,
             cache_file: None,
@@ -132,8 +137,12 @@ pub struct ServerReport {
 }
 
 struct Shared {
-    scheduler: Scheduler,
-    cache: Arc<PointCache>,
+    /// The work-assisting engine every request's points run on; its
+    /// claim metrics are the `sched_*` families, its claim spans are
+    /// named `batch`.
+    engine: Engine,
+    /// The one point cache every worker evaluates through.
+    cache: PointCache,
     cache_file: Option<CacheFile>,
     /// Serializes flushes so concurrent batch completions do not
     /// interleave appends.
@@ -292,7 +301,7 @@ struct KindMetrics {
     requests: OnceLock<Arc<Counter>>,
     /// `serve_request_ns`.
     latency: OnceLock<Arc<Histogram>>,
-    /// `serve_queue_wait_ns`, for requests that ran scheduler jobs.
+    /// `serve_queue_wait_ns`, for requests that ran engine jobs.
     queue_wait: OnceLock<Arc<Histogram>>,
     /// `serve_execute_ns`, likewise.
     execute: OnceLock<Arc<Histogram>>,
@@ -358,7 +367,7 @@ struct RequestSpan {
     execute: Duration,
     /// Post-request cache-file flush time.
     flush: Duration,
-    /// Scheduler jobs this request ran (0 for stats/metrics/frontier —
+    /// Engine jobs this request ran (0 for stats/metrics/frontier —
     /// their spans carry no queue/execute time).
     jobs: u64,
     /// Points evaluated (or tuner evaluations) on behalf of this
@@ -389,7 +398,7 @@ impl RequestSpan {
         }
     }
 
-    /// The scheduler-facing trace reference: who batch spans should
+    /// The engine-facing trace reference: who batch spans should
     /// parent onto. `None` before the line parsed (and for parse
     /// errors), which records no spans at all.
     fn trace_ref(&self) -> Option<TraceRef> {
@@ -399,7 +408,7 @@ impl RequestSpan {
         })
     }
 
-    /// Folds one completed scheduler job's timings and cache counters
+    /// Folds one completed engine job's timings and cache counters
     /// into the span.
     fn absorb_job(&mut self, queue_wait: Duration, execute: Duration, hits: u64, misses: u64) {
         self.queue_wait += queue_wait;
@@ -449,10 +458,10 @@ impl Shared {
             .set(self.connections.load(Ordering::SeqCst) as f64);
         registry
             .gauge("serve_active_jobs")
-            .set(self.scheduler.active_jobs() as f64);
+            .set(self.engine.active_jobs() as f64);
         registry
             .gauge("serve_queue_depth")
-            .set(self.scheduler.queue_depth() as f64);
+            .set(self.engine.queue_depth() as f64);
         registry.gauge("cache_points").set(self.cache.len() as f64);
         registry.gauge("cache_hit_rate").set(stats.hit_rate());
     }
@@ -507,10 +516,10 @@ impl Server {
     /// unreadable one, or one with a foreign magic line, is).
     pub fn bind(config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind((config.host.as_str(), config.port))?;
-        let cache = Arc::new(match config.cache_capacity {
+        let cache = match config.cache_capacity {
             Some(capacity) => PointCache::bounded(capacity),
             None => PointCache::new(),
-        });
+        };
         let cache_file = config.cache_file.as_ref().map(CacheFile::new);
         let mut loaded_from_disk = 0;
         if let Some(file) = &cache_file {
@@ -533,11 +542,11 @@ impl Server {
             PathBuf::from(flight)
         });
         let shared = Arc::new(Shared {
-            scheduler: Scheduler::with_policy(
-                Arc::clone(&cache),
+            engine: Engine::with_metrics(
                 config.queue_capacity,
                 config.claim,
-                &registry,
+                EngineMetrics::register(&registry, "sched"),
+                "batch",
             ),
             cache,
             cache_file,
@@ -599,7 +608,7 @@ impl Server {
         std::thread::scope(|scope| -> std::io::Result<()> {
             for idx in 0..shared.threads {
                 let s = Arc::clone(shared);
-                scope.spawn(move || s.scheduler.worker_loop_indexed(idx as u32));
+                scope.spawn(move || s.engine.worker_loop_indexed(idx as u32, &s.cache));
             }
             {
                 // The sampler: one registry snapshot per interval into
@@ -654,7 +663,7 @@ impl Server {
             // (re)set here so the sampler thread exits on the error
             // path, where no shutdown request ever stored it.
             shared.shutdown.store(true, Ordering::SeqCst);
-            shared.scheduler.begin_shutdown();
+            shared.engine.begin_shutdown();
             outcome
         })?;
         shared.flush()?;
@@ -857,7 +866,7 @@ fn record_span(
     kind.histogram(&kind.latency, registry, "serve_request_ns")
         .record_duration(total);
     if span.jobs > 0 {
-        // Only requests that ran scheduler jobs carry queue/execute
+        // Only requests that ran engine jobs carry queue/execute
         // time; recording zeros for stats/metrics/frontier would
         // poison the wait-time quantiles.
         kind.histogram(&kind.queue_wait, registry, "serve_queue_wait_ns")
@@ -913,7 +922,7 @@ fn record_span(
 
 /// Records the finished request into the span ring: one root span for
 /// the whole request plus phase children (parse, then queue-wait and
-/// execute when scheduler jobs ran, then flush). The phases were timed
+/// execute when engine jobs ran, then flush). The phases were timed
 /// independently on the session thread, so children are laid out
 /// sequentially from the root start with each duration clamped to the
 /// root's remainder — the invariants "children nest inside the root"
@@ -1010,39 +1019,21 @@ fn handle_request(
     match request {
         Request::Eval(point) => {
             // Cache-hit fast path: a memoized point is answered inline.
-            // The scheduler round trip (submit, wake a worker, wake the
+            // The engine round trip (submit, wake a worker, wake the
             // session) costs tens of microseconds of handoff — more
             // than the lookup itself — and would serialize a pipelined
             // client's cached evals behind it.
-            let response = if let Some(outcome) = shared.scheduler.cache().probe(&point) {
+            let response = if let Some(outcome) = shared.cache.probe(&point) {
                 span.absorb_job(Duration::ZERO, Duration::ZERO, 1, 0);
                 span.points = 1;
                 Response::Eval { point, outcome }
             } else {
-                match shared
-                    .scheduler
-                    .submit_traced(vec![point.clone()], span.trace_ref())
-                {
-                    Err(e) => submit_error_response(e),
-                    Ok(handle) => match handle.wait() {
-                        Err(e) => Response::Error {
-                            message: e.to_string(),
-                        },
-                        Ok(mut job) => {
-                            span.absorb_job(
-                                job.queue_wait,
-                                job.execute,
-                                job.cache_hits,
-                                job.cache_misses,
-                            );
-                            span.points = 1;
-                            Response::Eval {
-                                point,
-                                outcome: job.outcomes.remove(0),
-                            }
-                        }
-                    },
-                }
+                run_job(shared, span, vec![point.clone()], |mut job| {
+                    Response::Eval {
+                        point,
+                        outcome: job.outcomes.remove(0),
+                    }
+                })
             };
             timed_flush(shared, span);
             RequestOutcome::reply(response, false)
@@ -1051,36 +1042,18 @@ fn handle_request(
             // The coordinator's scatter-gather primitive: one job, one
             // outcome per point, in order. An empty batch short-circuits
             // (the engine has nothing to schedule).
-            let total = points.len();
-            let response = if total == 0 {
+            let response = if points.is_empty() {
                 Response::EvalBatch {
                     outcomes: Vec::new(),
                     cache_hits: 0,
                     cache_misses: 0,
                 }
             } else {
-                match shared.scheduler.submit_traced(points, span.trace_ref()) {
-                    Err(e) => submit_error_response(e),
-                    Ok(handle) => match handle.wait() {
-                        Err(e) => Response::Error {
-                            message: e.to_string(),
-                        },
-                        Ok(job) => {
-                            span.absorb_job(
-                                job.queue_wait,
-                                job.execute,
-                                job.cache_hits,
-                                job.cache_misses,
-                            );
-                            span.points = total as u64;
-                            Response::EvalBatch {
-                                outcomes: job.outcomes,
-                                cache_hits: job.cache_hits,
-                                cache_misses: job.cache_misses,
-                            }
-                        }
-                    },
-                }
+                run_job(shared, span, points, |job| Response::EvalBatch {
+                    outcomes: job.outcomes,
+                    cache_hits: job.cache_hits,
+                    cache_misses: job.cache_misses,
+                })
             };
             timed_flush(shared, span);
             RequestOutcome::reply(response, false)
@@ -1102,65 +1075,47 @@ fn handle_request(
             let points: Vec<_> = indexed.iter().map(|(_, p)| p.clone()).collect();
             let total = points.len();
             let start = Instant::now();
-            let response = match shared.scheduler.submit_traced(points, span.trace_ref()) {
-                Err(e) => submit_error_response(e),
-                Ok(handle) => match handle.wait() {
-                    Err(e) => Response::Error {
-                        message: e.to_string(),
-                    },
-                    Ok(job) => {
-                        span.absorb_job(
-                            job.queue_wait,
-                            job.execute,
-                            job.cache_hits,
-                            job.cache_misses,
-                        );
-                        span.points = total as u64;
-                        let objectives: Vec<(usize, pareto::Objectives)> = job
-                            .outcomes
-                            .iter()
-                            .zip(&indexed)
-                            .filter_map(|(o, (gi, _))| {
-                                Some((*gi, pareto::Objectives::from(o.result()?)))
-                            })
-                            .collect();
-                        let frontier_3d = pareto::frontier_3d(&objectives);
-                        let frontier_sqnr = pareto::frontier_accuracy(&objectives);
-                        // A partitioned reply carries its frontier
-                        // *candidates* (index + objectives of every
-                        // point on either frontier) so the coordinator
-                        // can re-filter the merged set without
-                        // re-evaluating anything.
-                        let candidates = if spec.part.is_some() {
-                            let mut keep: Vec<usize> =
-                                frontier_3d.iter().chain(&frontier_sqnr).copied().collect();
-                            keep.sort_unstable();
-                            keep.dedup();
-                            objectives
-                                .iter()
-                                .filter(|(i, _)| keep.binary_search(i).is_ok())
-                                .copied()
-                                .collect()
-                        } else {
-                            Vec::new()
-                        };
-                        Response::Sweep(SweepSummary {
-                            points: total,
-                            feasible: objectives.len(),
-                            // Per-job counters from the scheduler:
-                            // global cache deltas would also count the
-                            // other clients' concurrent traffic.
-                            cache_hits: job.cache_hits,
-                            cache_misses: job.cache_misses,
-                            wall_ms: start.elapsed().as_secs_f64() * 1e3,
-                            frontier_3d,
-                            frontier_sqnr,
-                            candidates,
-                            degraded: false,
-                        })
-                    }
-                },
-            };
+            let response = run_job(shared, span, points, |job| {
+                let objectives: Vec<(usize, pareto::Objectives)> = job
+                    .outcomes
+                    .iter()
+                    .zip(&indexed)
+                    .filter_map(|(o, (gi, _))| Some((*gi, pareto::Objectives::from(o.result()?))))
+                    .collect();
+                let frontier_3d = pareto::frontier_3d(&objectives);
+                let frontier_sqnr = pareto::frontier_accuracy(&objectives);
+                // A partitioned reply carries its frontier
+                // *candidates* (index + objectives of every point on
+                // either frontier) so the coordinator can re-filter
+                // the merged set without re-evaluating anything.
+                let candidates = if spec.part.is_some() {
+                    let mut keep: Vec<usize> =
+                        frontier_3d.iter().chain(&frontier_sqnr).copied().collect();
+                    keep.sort_unstable();
+                    keep.dedup();
+                    objectives
+                        .iter()
+                        .filter(|(i, _)| keep.binary_search(i).is_ok())
+                        .copied()
+                        .collect()
+                } else {
+                    Vec::new()
+                };
+                Response::Sweep(SweepSummary {
+                    points: total,
+                    feasible: objectives.len(),
+                    // Per-job counters from the engine: global cache
+                    // deltas would also count the other clients'
+                    // concurrent traffic.
+                    cache_hits: job.cache_hits,
+                    cache_misses: job.cache_misses,
+                    wall_ms: start.elapsed().as_secs_f64() * 1e3,
+                    frontier_3d,
+                    frontier_sqnr,
+                    candidates,
+                    degraded: false,
+                })
+            });
             timed_flush(shared, span);
             RequestOutcome::reply(response, false)
         }
@@ -1168,11 +1123,11 @@ fn handle_request(
             // A tune is one unit of admission however many rounds it
             // runs; its rounds are ordinary jobs in the fair rotation,
             // so concurrent sweeps interleave with every round.
-            let response = match shared.scheduler.admit() {
+            let response = match shared.engine.admit() {
                 Err(e) => submit_error_response(e),
                 Ok(slot) => {
                     let mut evaluator =
-                        SchedulerEvaluator::new(&shared.scheduler, &slot, span.trace_ref());
+                        SchedulerEvaluator::new(&shared.engine, &slot, span.trace_ref());
                     let result = tune(&request, &mut evaluator);
                     evaluator.fold_into(span);
                     match result {
@@ -1202,11 +1157,11 @@ fn handle_request(
             // a plain tune holds one slot across its rounds: the sweep
             // is one unit of admission however many steps it runs, and
             // every step's rounds interleave with concurrent jobs.
-            let outcome = match shared.scheduler.admit() {
+            let outcome = match shared.engine.admit() {
                 Err(e) => RequestOutcome::reply(submit_error_response(e), false),
                 Ok(slot) => {
                     let mut evaluator =
-                        SchedulerEvaluator::new(&shared.scheduler, &slot, span.trace_ref());
+                        SchedulerEvaluator::new(&shared.engine, &slot, span.trace_ref());
                     let steps = request.sweep.values.len();
                     let mut sink_dead = false;
                     let result = frontier::tune_frontier(&request, &mut evaluator, |i, step| {
@@ -1322,8 +1277,8 @@ fn handle_request(
                     misses: stats.misses,
                     hit_rate: stats.hit_rate(),
                     requests: shared.requests.load(Ordering::Relaxed),
-                    active_jobs: shared.scheduler.active_jobs(),
-                    queue_capacity: shared.scheduler.capacity(),
+                    active_jobs: shared.engine.active_jobs(),
+                    queue_capacity: shared.engine.capacity(),
                     open_connections: shared.connections.load(Ordering::SeqCst),
                     max_connections: shared.max_connections,
                     threads: shared.threads,
@@ -1333,7 +1288,7 @@ fn handle_request(
                     // Includes this stats request itself — the session
                     // loop holds the in-flight gauge across the handler.
                     inflight_requests: shared.metrics.inflight.get().max(0.0) as usize,
-                    queue_depth: shared.scheduler.queue_depth(),
+                    queue_depth: shared.engine.queue_depth(),
                     slos: shared.slo.lock().expect("slo lock poisoned").len(),
                     slo_breach_ticks: shared.slo_breach_ticks.load(Ordering::Relaxed),
                     shards: Vec::new(),
@@ -1430,7 +1385,7 @@ fn handle_request(
         Request::Shutdown => {
             // Close admission *before* acknowledging, so nothing new
             // slips in between the reply and the accept loop noticing.
-            shared.scheduler.begin_shutdown();
+            shared.engine.begin_shutdown();
             RequestOutcome::reply(Response::Shutdown, true)
         }
     }
@@ -1497,8 +1452,8 @@ fn build_watch_sample(history: &TimeSeries, shared: &Shared) -> WatchSample {
         req_per_sec: window.family_rate("serve_requests_total"),
         points_per_sec: window.rate("sched_points_total", &[]),
         inflight: shared.metrics.inflight.get().max(0.0) as u64,
-        active_jobs: shared.scheduler.active_jobs() as u64,
-        queue_depth: shared.scheduler.queue_depth() as u64,
+        active_jobs: shared.engine.active_jobs() as u64,
+        queue_depth: shared.engine.queue_depth() as u64,
         cache_hit_rate: shared.cache.stats().hit_rate(),
         requests_total: shared.requests.load(Ordering::Relaxed),
         queue_wait_p99_us: window
@@ -1508,6 +1463,38 @@ fn build_watch_sample(history: &TimeSeries, shared: &Shared) -> WatchSample {
         execute_p99_us: window.histogram_family("serve_execute_ns").quantile(0.99) / 1e3,
         types: type_windows(&window),
     }
+}
+
+/// Runs `points` as one admission-checked engine job on behalf of a
+/// request and waits for it: the job is traced under the request's
+/// span, its timings, cache counters and point count are folded into
+/// `span`, and `reply` turns the finished job into the response. A
+/// refusal or a failed job is answered with the matching error reply.
+fn run_job(
+    shared: &Shared,
+    span: &mut RequestSpan,
+    points: Vec<DesignPoint>,
+    reply: impl FnOnce(JobResult) -> Response,
+) -> Response {
+    let job = match shared.engine.submit_with(points, None, span.trace_ref()) {
+        Err(e) => return submit_error_response(e),
+        Ok(handle) => match handle.wait() {
+            Err(e) => {
+                return Response::Error {
+                    message: e.to_string(),
+                }
+            }
+            Ok(job) => job,
+        },
+    };
+    span.absorb_job(
+        job.queue_wait,
+        job.execute,
+        job.cache_hits,
+        job.cache_misses,
+    );
+    span.points = job.outcomes.len() as u64;
+    reply(job)
 }
 
 fn submit_error_response(e: SubmitError) -> Response {
@@ -1594,34 +1581,34 @@ fn write_flight_file(path: &Path, shared: &Arc<Shared>) -> std::io::Result<usize
     Ok(records.len())
 }
 
-/// The daemon-side tuner evaluator: each round becomes one scheduler
+/// The daemon-side tuner evaluator: each round becomes one engine
 /// job inside the tune's admission slot, so candidate evaluations share
 /// the cache with (and interleave fairly against) every concurrent
 /// sweep. Hit/miss accounting uses the per-job counters — global cache
 /// deltas would count other clients' traffic.
 struct SchedulerEvaluator<'a> {
-    scheduler: &'a Scheduler,
+    engine: &'a Engine,
     slot: &'a AdmissionSlot<'a>,
     /// The owning request's trace: each round records a `tune_round`
     /// span under the request's root, and the ref rides on the round's
-    /// scheduler job so worker batch spans attach to the same trace.
+    /// engine job so worker batch spans attach to the same trace.
     trace: Option<TraceRef>,
     hits: u64,
     misses: u64,
     /// Queue wait summed over this request's rounds (each round is one
-    /// scheduler job, so a tune's span reports how long its rounds
+    /// engine job, so a tune's span reports how long its rounds
     /// collectively sat behind other traffic).
     queue_wait: Duration,
     /// Execute time summed over this request's rounds.
     execute: Duration,
-    /// Rounds run (scheduler jobs submitted and waited on).
+    /// Rounds run (engine jobs submitted and waited on).
     jobs: u64,
 }
 
 impl<'a> SchedulerEvaluator<'a> {
-    fn new(scheduler: &'a Scheduler, slot: &'a AdmissionSlot<'a>, trace: Option<TraceRef>) -> Self {
+    fn new(engine: &'a Engine, slot: &'a AdmissionSlot<'a>, trace: Option<TraceRef>) -> Self {
         SchedulerEvaluator {
-            scheduler,
+            engine,
             slot,
             trace,
             hits: 0,
@@ -1652,17 +1639,11 @@ impl MixEvaluator for SchedulerEvaluator<'_> {
         let round_started = Instant::now();
         let points = evaluator::expand(mix, bases);
         let round_points = points.len();
+        // Inside a held slot the only refusal is the shutdown drain.
         let handle = self
-            .scheduler
-            .submit_in_traced(self.slot, points, self.trace)
-            .map_err(|e| match e {
-                SubmitError::Busy { .. } => {
-                    TuneError::Backend("scheduler refused an admitted round".to_owned())
-                }
-                SubmitError::ShuttingDown => {
-                    TuneError::Backend("server is shutting down".to_owned())
-                }
-            })?;
+            .engine
+            .submit_with(points, Some(self.slot), self.trace)
+            .map_err(|_| TuneError::Backend("server is shutting down".to_owned()))?;
         let job = handle.wait().map_err(TuneError::Eval)?;
         self.hits += job.cache_hits;
         self.misses += job.cache_misses;
@@ -1694,7 +1675,7 @@ mod tests {
     use super::*;
 
     /// A transport stand-in that records, at every flush, how many
-    /// admitted jobs the scheduler still holds. A streamed line
+    /// admitted jobs the engine still holds. A streamed line
     /// flushing while the request's admission slot is live proves the
     /// line reached the transport *before* the request completed —
     /// the deterministic form of "the first step line arrives before
@@ -1724,8 +1705,7 @@ mod tests {
         }
 
         fn flush(&mut self) -> std::io::Result<()> {
-            self.active_at_flush
-                .push(self.shared.scheduler.active_jobs());
+            self.active_at_flush.push(self.shared.engine.active_jobs());
             while let Some(pos) = self.buffer.iter().position(|&b| b == b'\n') {
                 let line: Vec<u8> = self.buffer.drain(..=pos).collect();
                 self.lines.push(
@@ -1743,10 +1723,10 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..2 {
                 let s = Arc::clone(shared);
-                scope.spawn(move || s.scheduler.worker_loop());
+                scope.spawn(move || s.engine.worker_loop(&s.cache));
             }
             let out = body();
-            shared.scheduler.begin_shutdown();
+            shared.engine.begin_shutdown();
             out
         })
     }
@@ -1834,10 +1814,10 @@ mod tests {
             .histogram("serve_execute_ns", eval_labels)
             .expect("eval execute histogram");
         assert_eq!(execute.count, 3);
-        // The scheduler-side metrics live in the same (private)
+        // The engine's `sched_*` metrics live in the same (private)
         // registry: the first (cold) eval + the 2-point sweep → 3
         // scheduled points; the two warm repeat evals were answered
-        // inline from the cache and never entered the scheduler.
+        // inline from the cache and never entered the engine.
         assert_eq!(snapshot.counter("sched_points_total", &[]), Some(3));
         // Per-type families exist only for the types recorded so far:
         // their handles resolve on a type's first request, not at bind.
@@ -1954,7 +1934,7 @@ mod tests {
             }
             other => panic!("expected the done line, got {other:?}"),
         }
-        assert_eq!(shared.scheduler.active_jobs(), 0, "slot released");
+        assert_eq!(shared.engine.active_jobs(), 0, "slot released");
     }
 
     #[test]
@@ -2033,7 +2013,7 @@ mod tests {
             // A held admission slot stands in for a sweep mid-flight:
             // the watcher's lines must flush while it is live, proving
             // watch reports on work still in progress.
-            let slot = shared.scheduler.admit().expect("admission slot");
+            let slot = shared.engine.admit().expect("admission slot");
             let probe = std::thread::scope(|s| {
                 let watcher = s.spawn(|| {
                     let mut probe = Probe::new(&shared);

@@ -1,5 +1,5 @@
 //! Mixed-traffic acceptance tests for the work-assisting engine: the
-//! latency contract (one-point evals racing a ~2000-point sweep see
+//! latency contract (one-point evals racing ~1000-point sweeps see
 //! their p99 queue-wait drop under adaptive claims versus the
 //! fixed-batch baseline), the exactly-once contract (no point is lost
 //! or claimed twice under racing clients or 16-way job contention),
@@ -10,14 +10,13 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
+use chain_nn_repro::dse::engine::{ClaimPolicy, Engine, EngineMetrics, DEFAULT_MAX_CLAIM};
 use chain_nn_repro::dse::{executor, DesignPoint, PointCache, SweepSpec};
 use chain_nn_repro::obs::trace::TraceContext;
 use chain_nn_repro::obs::Registry;
 use chain_nn_repro::serve::protocol::Response;
-use chain_nn_repro::serve::scheduler::{ClaimPolicy, Scheduler, BATCH_SIZE};
 use chain_nn_repro::serve::{Client, Server, ServerConfig, ServerReport};
 use chain_nn_repro::tuner::{tune, Budget, CacheEvaluator, TuneRequest};
 
@@ -72,14 +71,14 @@ fn metrics_snapshot(client: &mut Client) -> chain_nn_repro::obs::Snapshot {
 const MIN_PUMPED: usize = 200;
 
 /// Runs one measurement round for the tail-latency criterion: boots a
-/// 2-worker daemon under the given claim policy, launches ~2000-point
+/// 2-worker daemon under the given claim policy, launches 1024-point
 /// cold sweeps, and pumps one-point evals at them until at least
 /// [`MIN_PUMPED`] evals raced. Returns the daemon's own
 /// `serve_queue_wait_ns{type=eval}` p99 (nanoseconds) and the pump's
 /// eval count.
 ///
 /// Each pump point is fresh (cache-cold), so the eval must travel the
-/// scheduler — cache hits are answered inline and never queue at all.
+/// engine — cache hits are answered inline and never queue at all.
 /// An alexnet point evaluates in microseconds; what the adaptive
 /// policy must shrink is its queue wait — the time from submission
 /// until a worker reaches a claim boundary and picks the eval up. The
@@ -105,21 +104,26 @@ fn eval_queue_wait_p99_under_sweep(claim: ClaimPolicy) -> (f64, usize) {
     std::thread::scope(|scope| {
         scope.spawn(|| {
             let mut sweeper = Client::connect(addr).expect("connect sweeper");
-            // vgg16, the costliest zoo net. One optimized-build sweep
-            // can end before the pump has enough samples, so fresh
-            // sweeps keep coming until it has; each runs at its own
-            // clock pair, so every one of its points is cache-cold.
-            // Bounded, so a failed pump ends in an error, not a hang.
+            // mobilenet, the costliest zoo net per point (~150 us in an
+            // optimized build, nearly all of it traffic planning for
+            // the depthwise layers): a 32-point fixed claim takes ~5 ms
+            // against ~0.6 ms for a 4-point contended one, so the wait
+            // an eval sees is set by the claim policy, not by
+            // thread-wake noise, in any build. One sweep can end before
+            // the pump has enough samples, so fresh sweeps keep coming
+            // until it has; each runs at its own clock pair, so every
+            // one of its points is cache-cold. Bounded, so a failed
+            // pump ends in an error, not a hang.
             for round in 0..100u32 {
                 let offset = f64::from(round);
                 let grid = SweepSpec {
-                    pes: (16..=1024).collect(),
+                    pes: (16..528).collect(),
                     freqs_mhz: vec![350.0 + offset, 700.0 + offset],
-                    nets: vec!["vgg16".into()],
+                    nets: vec!["mobilenet".into()],
                     ..SweepSpec::paper_point()
                 };
                 let (points, _, misses) = sweep_points(&mut sweeper, &grid);
-                assert_eq!((points, misses), (2018, 2018));
+                assert_eq!((points, misses), (1024, 1024));
                 if pumped.load(Ordering::SeqCst) >= MIN_PUMPED {
                     break;
                 }
@@ -128,7 +132,7 @@ fn eval_queue_wait_p99_under_sweep(claim: ClaimPolicy) -> (f64, usize) {
         });
         // Only start pumping once the first sweep is demonstrably
         // admitted and still deep (stats is served inline, not queued).
-        while !sweeps_done.load(Ordering::SeqCst) && stats(&mut pump).queue_depth < 1000 {
+        while !sweeps_done.load(Ordering::SeqCst) && stats(&mut pump).queue_depth < 500 {
             std::thread::sleep(Duration::from_millis(1));
         }
         while !sweeps_done.load(Ordering::SeqCst) {
@@ -148,21 +152,23 @@ fn eval_queue_wait_p99_under_sweep(claim: ClaimPolicy) -> (f64, usize) {
     (wait.p99, pumped)
 }
 
-/// The headline latency criterion: with interactive evals racing a
-/// ~2000-point sweep, adaptive claims cut the evals' p99 wait to less
+/// The headline latency criterion: with interactive evals racing
+/// 1024-point sweeps, adaptive claims cut the evals' p99 wait to less
 /// than half of the fixed-batch baseline's. Under `Fixed(32)` an eval
 /// waits for a worker to drain a whole 32-point claim; under the
 /// adaptive policy the sweep's claims shrink to
-/// [`CONTENDED_CLAIM`](chain_nn_repro::serve::scheduler::CONTENDED_CLAIM)-sized
+/// [`CONTENDED_CLAIM`](chain_nn_repro::dse::engine::CONTENDED_CLAIM)-sized
 /// ranges while the pump runs. Timing-sensitive, so three attempts
 /// before declaring failure.
 #[test]
 fn adaptive_claims_cut_eval_p99_versus_fixed_batches_during_a_sweep() {
     let mut last = String::new();
     for _ in 0..3 {
-        let (fixed_p99, fixed_n) = eval_queue_wait_p99_under_sweep(ClaimPolicy::Fixed(BATCH_SIZE));
-        let (adaptive_p99, adaptive_n) =
-            eval_queue_wait_p99_under_sweep(ClaimPolicy::Adaptive { max: BATCH_SIZE });
+        let (fixed_p99, fixed_n) =
+            eval_queue_wait_p99_under_sweep(ClaimPolicy::Fixed(DEFAULT_MAX_CLAIM));
+        let (adaptive_p99, adaptive_n) = eval_queue_wait_p99_under_sweep(ClaimPolicy::Adaptive {
+            max: DEFAULT_MAX_CLAIM,
+        });
         last = format!(
             "fixed queue-wait p99 {:.0} us over {fixed_n} evals, \
              adaptive {:.0} us over {adaptive_n} evals",
@@ -171,7 +177,7 @@ fn adaptive_claims_cut_eval_p99_versus_fixed_batches_during_a_sweep() {
         );
         // Enough samples for a meaningful p99 on both sides, and at
         // least a 2x improvement (the policy predicts ~8x: waits of
-        // ~CONTENDED_CLAIM points instead of ~BATCH_SIZE points).
+        // ~CONTENDED_CLAIM points instead of ~DEFAULT_MAX_CLAIM points).
         if fixed_n >= 50 && adaptive_n >= 50 && adaptive_p99 * 2.0 <= fixed_p99 {
             return;
         }
@@ -307,8 +313,8 @@ fn batch_spans_show_multiple_workers_assisting_one_sweep_job() {
 
 /// The determinism criterion: the same work yields byte-identical
 /// results at 1, 2, 4 and 16 threads for all three engine call sites —
-/// the one-shot sweep executor, a served scheduler job under adaptive
-/// claims, and a full tuner run (whole-report equality, including its
+/// the one-shot sweep executor, an engine job under the daemon's
+/// adaptive claims, and a full tuner run (whole-report equality, including its
 /// hit/miss tallies). Claims race, results must not.
 #[test]
 fn sweep_serve_and_tune_results_are_identical_at_1_2_4_and_16_threads() {
@@ -328,31 +334,27 @@ fn sweep_serve_and_tune_results_are_identical_at_1_2_4_and_16_threads() {
     }
 
     for workers in [1u32, 2, 4, 16] {
-        let cache = Arc::new(PointCache::new());
-        let registry = Registry::new();
-        let scheduler = Scheduler::with_policy(
-            Arc::clone(&cache),
+        let cache = PointCache::new();
+        let engine = Engine::new(
             4,
-            ClaimPolicy::Adaptive { max: BATCH_SIZE },
-            &registry,
+            ClaimPolicy::Adaptive {
+                max: DEFAULT_MAX_CLAIM,
+            },
         );
         let outcomes = std::thread::scope(|scope| {
-            let scheduler = &scheduler;
+            let (engine, cache) = (&engine, &cache);
             for w in 0..workers {
-                scope.spawn(move || scheduler.worker_loop_indexed(w));
+                scope.spawn(move || engine.worker_loop_indexed(w, cache));
             }
-            let result = scheduler
+            let result = engine
                 .submit(points.clone())
                 .expect("admitted")
                 .wait()
                 .expect("job completes");
-            scheduler.begin_shutdown();
+            engine.begin_shutdown();
             result.outcomes
         });
-        assert_eq!(
-            outcomes, reference,
-            "scheduler diverged at {workers} workers"
-        );
+        assert_eq!(outcomes, reference, "engine diverged at {workers} workers");
     }
 
     let request = TuneRequest {
@@ -385,10 +387,14 @@ fn sweep_serve_and_tune_results_are_identical_at_1_2_4_and_16_threads() {
 fn tiny_claims_under_16_job_contention_reconcile_with_counters() {
     const JOBS: usize = 16;
     const POINTS: usize = 13;
-    let cache = Arc::new(PointCache::new());
+    let cache = PointCache::new();
     let registry = Registry::new();
-    let scheduler =
-        Scheduler::with_policy(Arc::clone(&cache), JOBS, ClaimPolicy::Fixed(1), &registry);
+    let engine = Engine::with_metrics(
+        JOBS,
+        ClaimPolicy::Fixed(1),
+        EngineMetrics::register(&registry, "sched"),
+        "batch",
+    );
     let jobs: Vec<Vec<DesignPoint>> = (0..JOBS)
         .map(|j| {
             (0..POINTS)
@@ -402,19 +408,19 @@ fn tiny_claims_under_16_job_contention_reconcile_with_counters() {
     let total = (JOBS * POINTS) as u64; // 208
 
     let results = std::thread::scope(|scope| {
-        let scheduler = &scheduler;
+        let (engine, cache) = (&engine, &cache);
         let handles: Vec<_> = jobs
             .iter()
-            .map(|points| scheduler.submit(points.clone()).expect("admitted"))
+            .map(|points| engine.submit(points.clone()).expect("admitted"))
             .collect();
         for w in 0..8u32 {
-            scope.spawn(move || scheduler.worker_loop_indexed(w));
+            scope.spawn(move || engine.worker_loop_indexed(w, cache));
         }
         let results: Vec<_> = handles
             .into_iter()
             .map(|h| h.wait().expect("job completes"))
             .collect();
-        scheduler.begin_shutdown();
+        engine.begin_shutdown();
         results
     });
 
@@ -429,8 +435,8 @@ fn tiny_claims_under_16_job_contention_reconcile_with_counters() {
         delivered += result.outcomes.len() as u64;
     }
     assert_eq!(delivered, total);
-    assert_eq!(scheduler.completed_points(), total);
-    assert_eq!(scheduler.queue_depth(), 0);
+    assert_eq!(engine.completed_points(), total);
+    assert_eq!(engine.queue_depth(), 0);
     let snapshot = registry.snapshot();
     assert_eq!(snapshot.counter("sched_points_total", &[]), Some(total));
     // One-point claims really happened: one batch per point.
@@ -455,12 +461,14 @@ fn stats_queue_depth_counts_remaining_points_not_jobs() {
     let (depths, mut prober) = std::thread::scope(|scope| {
         scope.spawn(|| {
             let mut sweeper = Client::connect(addr).expect("connect sweeper");
-            // vgg16: slow enough to probe mid-drain even when built
-            // with optimizations.
+            // mobilenet (~150 us a point optimized): the sweep drains
+            // over hundreds of milliseconds in any build, so the probe
+            // lands many samples mid-drain even when the test threads
+            // share a core with another test's sweeps.
             let grid = SweepSpec {
                 pes: (16..=1024).collect(),
                 freqs_mhz: vec![350.0, 700.0],
-                nets: vec!["vgg16".into()],
+                nets: vec!["mobilenet".into()],
                 ..SweepSpec::paper_point()
             };
             let (points, _, _) = sweep_points(&mut sweeper, &grid);
@@ -469,8 +477,8 @@ fn stats_queue_depth_counts_remaining_points_not_jobs() {
         });
         let mut prober = Client::connect(addr).expect("connect prober");
         let mut depths = Vec::new();
-        // An optimized-build sweep drains in a few milliseconds, so
-        // probe often enough to land several samples in its second half.
+        // Probe often enough to land many samples in the sweep's
+        // second half.
         while !sweep_done.load(Ordering::SeqCst) {
             depths.push(stats(&mut prober).queue_depth);
             std::thread::sleep(Duration::from_micros(50));
