@@ -145,7 +145,9 @@ pub struct TraceRef {
 /// construction; recording is lock-free). The `prefix` given to
 /// [`EngineMetrics::register`] names the families — `sched_*` for the
 /// daemon scheduler, `dse_*` for standalone sweeps — so each embedding
-/// keeps the catalog names its dashboards already scrape.
+/// keeps the catalog names its dashboards already scrape. A clone
+/// shares the handles.
+#[derive(Clone)]
 pub struct EngineMetrics {
     /// Wall time per claimed range evaluation (`{prefix}_batch_eval_ns`).
     batch_eval_ns: Arc<Histogram>,
@@ -665,15 +667,11 @@ impl Engine {
         let claim_started = Instant::now();
         let mut results = Vec::with_capacity(end - start);
         let mut error = None;
-        let (mut hits, mut misses) = (0u64, 0u64);
+        let mut hits = 0u64;
         for i in start..end {
             match executor::evaluate_cached_tracked(&points[i], cache) {
                 Ok((outcome, hit)) => {
-                    if hit {
-                        hits += 1;
-                    } else {
-                        misses += 1;
-                    }
+                    hits += u64::from(hit);
                     results.push((i, outcome));
                 }
                 Err(e) => {
@@ -717,7 +715,7 @@ impl Engine {
             let mut cs = done.state.lock().expect("completion lock poisoned");
             cs.finished += finished_now;
             cs.cache_hits += hits;
-            cs.cache_misses += misses;
+            cs.cache_misses += results.len() as u64 - hits;
             cs.results.append(&mut results);
             if let Some(e) = error {
                 if cs.error.is_none() {

@@ -12,7 +12,10 @@
 //! scheduling.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
+
+use chain_nn_obs::{Gauge, Histogram};
 
 use crate::cache::PointCache;
 use crate::engine::{ClaimPolicy, Engine, EngineMetrics, TraceRef, DEFAULT_MAX_CLAIM};
@@ -27,38 +30,44 @@ pub fn default_threads() -> usize {
 }
 
 /// Evaluates one point through `cache`: answer from memory when
-/// present, otherwise evaluate and memoize. This is the single
-/// evaluation step both the sweep executor below and the serving
-/// daemon's batch scheduler (`chain-nn-serve`) are built from.
+/// present, otherwise evaluate and memoize, hashing the point once for
+/// both steps. Also reports whether the answer came from the cache
+/// (`true` = hit): callers that serve several clients off one cache
+/// (the daemon) need the per-call answer, because deltas of the global
+/// counters cross-contaminate between concurrent requests. This is the
+/// single evaluation step of the engine, workload mixes and the tuner.
 ///
 /// # Errors
 ///
 /// Propagates spec-level evaluation errors (unknown network, invalid
 /// chain parameters); infeasibility is data, not an error.
-pub fn evaluate_cached(point: &DesignPoint, cache: &PointCache) -> Result<PointOutcome, DseError> {
-    Ok(evaluate_cached_tracked(point, cache)?.0)
-}
-
-/// [`evaluate_cached`], also reporting whether the answer came from the
-/// cache (`true` = hit). Callers that serve several clients off one
-/// cache (the daemon) need the per-call answer: deltas of the global
-/// counters cross-contaminate between concurrent requests.
-///
-/// # Errors
-///
-/// Same contract as [`evaluate_cached`].
 pub fn evaluate_cached_tracked(
     point: &DesignPoint,
     cache: &PointCache,
 ) -> Result<(PointOutcome, bool), DseError> {
-    match cache.get(point) {
-        Some(hit) => Ok((hit, true)),
-        None => {
-            let fresh = evaluate(point)?;
-            cache.insert(point, fresh.clone());
-            Ok((fresh, false))
+    cache.get_or_insert_with(point, || evaluate(point))
+}
+
+/// `executor::run`'s metric handles in the global registry, resolved
+/// once per process rather than per call.
+struct RunMetrics {
+    engine: EngineMetrics,
+    run_ns: Arc<Histogram>,
+    points_per_sec: Arc<Gauge>,
+    cache_hit_rate: Arc<Gauge>,
+}
+
+fn run_metrics() -> &'static RunMetrics {
+    static METRICS: OnceLock<RunMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let obs = chain_nn_obs::global();
+        RunMetrics {
+            engine: EngineMetrics::register(obs, "dse"),
+            run_ns: obs.histogram("dse_run_ns"),
+            points_per_sec: obs.gauge("dse_points_per_sec"),
+            cache_hit_rate: obs.gauge("dse_cache_hit_rate"),
         }
-    }
+    })
 }
 
 /// Evaluates every point, `threads` at a time, memoizing through
@@ -97,7 +106,7 @@ pub fn run(
     cache: &PointCache,
 ) -> Result<Vec<PointOutcome>, DseError> {
     let threads = threads.max(1).min(points.len().max(1));
-    let obs = chain_nn_obs::global();
+    let metrics = run_metrics();
     // A standalone run owns its own trace: one root span for the whole
     // sweep, one `chunk` child per claim tagged with the worker that
     // executed it, so the run renders as a per-worker timeline.
@@ -116,12 +125,7 @@ pub fn run(
     // job is fully claimed. Claim metrics land in the global registry
     // under the `dse` prefix (`dse_batch_eval_ns`, `dse_claim_points`,
     // `dse_batches_total`, `dse_points_total`).
-    let engine = Engine::with_metrics(
-        1,
-        ClaimPolicy::adaptive(),
-        EngineMetrics::register(obs, "dse"),
-        "chunk",
-    );
+    let engine = Engine::with_metrics(1, ClaimPolicy::adaptive(), metrics.engine.clone(), "chunk");
     let handle = engine
         .submit_with(
             points.to_vec(),
@@ -160,11 +164,11 @@ pub fn run(
             points: points.len().min(u32::MAX as usize) as u32,
         });
     }
-    obs.histogram("dse_run_ns").record_duration(elapsed);
-    obs.gauge("dse_points_per_sec")
+    metrics.run_ns.record_duration(elapsed);
+    metrics
+        .points_per_sec
         .set(points.len() as f64 / elapsed.as_secs_f64().max(1e-12));
-    obs.gauge("dse_cache_hit_rate")
-        .set(cache.stats().hit_rate());
+    metrics.cache_hit_rate.set(cache.stats().hit_rate());
     Ok(job.outcomes)
 }
 
@@ -199,18 +203,13 @@ pub fn throughput(points: &[DesignPoint], threads: usize, evals: usize) -> Resul
     if threads == 1 {
         worker()?;
     } else {
+        // The first worker's error, in spawn order; the scope joins the
+        // rest.
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
-            let mut first_err = None;
-            for handle in handles {
-                if let Err(e) = handle.join().expect("worker thread panicked") {
-                    first_err = first_err.or(Some(e));
-                }
-            }
-            match first_err {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
+            handles
+                .into_iter()
+                .try_for_each(|handle| handle.join().expect("worker thread panicked"))
         })?;
     }
     Ok(evals as f64 / start.elapsed().as_secs_f64().max(1e-12))

@@ -337,16 +337,13 @@ pub fn evaluate_mix(
     cache: &PointCache,
 ) -> Result<(MixOutcome, u64, u64), DseError> {
     let mut outcomes = Vec::with_capacity(mix.entries().len());
-    let (mut hits, mut misses) = (0u64, 0u64);
+    let mut hits = 0u64;
     for point in mix.points_for(base) {
         let (outcome, hit) = evaluate_cached_tracked(&point, cache)?;
-        if hit {
-            hits += 1;
-        } else {
-            misses += 1;
-        }
+        hits += u64::from(hit);
         outcomes.push(outcome);
     }
+    let misses = outcomes.len() as u64 - hits;
     Ok((mix.aggregate(&outcomes), hits, misses))
 }
 

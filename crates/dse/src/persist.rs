@@ -51,7 +51,7 @@
 //! The same corruption tolerance applies to both versions.
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
+use std::io::{BufWriter, ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 
 use crate::eval::{PointOutcome, PointResult};
@@ -146,7 +146,7 @@ pub struct CompactReport {
 /// // A fresh process (here: a fresh cache) replays the snapshot.
 /// let reloaded = PointCache::new();
 /// assert_eq!(file.load_into(&reloaded).unwrap().loaded, 1);
-/// assert!(reloaded.get(&DesignPoint::paper_alexnet()).is_some());
+/// assert!(reloaded.probe(&DesignPoint::paper_alexnet()).is_some());
 /// # std::fs::remove_file(&path).unwrap();
 /// ```
 #[derive(Debug, Clone)]
@@ -154,13 +154,40 @@ pub struct CacheFile {
     path: PathBuf,
 }
 
+/// FNV-1a of one whole buffer: the record checksum.
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    crate::spec::fnv1a(crate::spec::FNV_OFFSET, bytes)
+}
+
+/// Writes `entries` as framed records to `file`, after the magic line
+/// when `magic` is set, then syncs the file's data.
+fn write_records(
+    file: &mut File,
+    magic: bool,
+    entries: &[(DesignPoint, PointOutcome)],
+) -> std::io::Result<()> {
+    let mut w = BufWriter::new(&mut *file);
+    if magic {
+        w.write_all(MAGIC)?;
     }
-    h
+    for (point, outcome) in entries {
+        let payload = encode_payload(point, outcome);
+        w.write_all(&(payload.len() as u32).to_le_bytes())?;
+        w.write_all(&fnv1a(&payload).to_le_bytes())?;
+        w.write_all(&payload)?;
+    }
+    w.flush()?;
+    drop(w);
+    file.sync_data()
+}
+
+/// The outcome of walking one snapshot's frames.
+struct Scan {
+    version: Version,
+    /// Offset where the readable prefix ends.
+    end: usize,
+    /// File length.
+    len: usize,
 }
 
 fn encode_payload(point: &DesignPoint, outcome: &PointOutcome) -> Vec<u8> {
@@ -301,6 +328,43 @@ impl CacheFile {
         &self.path
     }
 
+    /// The refusal of a file whose magic line is foreign.
+    fn foreign(&self) -> std::io::Error {
+        std::io::Error::new(
+            ErrorKind::InvalidData,
+            format!("{} is not a chain-nn dse cache file", self.path.display()),
+        )
+    }
+
+    /// Reads the snapshot and hands each frame's decoded record
+    /// (`None` for one that fails to decode) to `on_record`, up to the
+    /// first frame that fails its framing or checksum. `Ok(None)` for a
+    /// missing or empty file.
+    fn scan(
+        &self,
+        mut on_record: impl FnMut(Option<(DesignPoint, PointOutcome)>),
+    ) -> std::io::Result<Option<Scan>> {
+        let bytes = match std::fs::read(&self.path) {
+            Ok(b) => b,
+            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        if bytes.is_empty() {
+            return Ok(None);
+        }
+        let version = detect_version(&bytes).ok_or_else(|| self.foreign())?;
+        let mut at = MAGIC.len();
+        while let Some((payload, next)) = read_frame(&bytes, at) {
+            on_record(decode_payload(payload, version));
+            at = next;
+        }
+        Ok(Some(Scan {
+            version,
+            end: at,
+            len: bytes.len(),
+        }))
+    }
+
     /// Replays the snapshot into `cache` via
     /// [`PointCache::insert_loaded`] (loaded entries are not
     /// re-journaled, so a later flush appends only genuinely new work).
@@ -315,49 +379,27 @@ impl CacheFile {
     /// magic line does not match [`MAGIC`] (that is *someone else's
     /// file*; refusing protects it from our appends).
     pub fn load_into(&self, cache: &PointCache) -> std::io::Result<LoadReport> {
-        let file = match File::open(&self.path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(LoadReport::default()),
-            Err(e) => return Err(e),
-        };
-        let mut reader = BufReader::new(file);
-        let mut bytes = Vec::new();
-        reader.read_to_end(&mut bytes)?;
-        if bytes.is_empty() {
-            return Ok(LoadReport::default());
-        }
-        let Some(version) = detect_version(&bytes) else {
-            return Err(std::io::Error::new(
-                ErrorKind::InvalidData,
-                format!("{} is not a chain-nn dse cache file", self.path.display()),
-            ));
-        };
         let mut report = LoadReport::default();
-        let mut at = MAGIC.len();
-        while at < bytes.len() {
-            let Some(frame) = read_frame(&bytes, at) else {
-                report.corrupt_tail_bytes = (bytes.len() - at) as u64;
-                break;
-            };
-            let (payload, next) = frame;
-            match decode_payload(payload, version) {
-                Some((point, outcome)) => {
-                    // Pre-seed the process-wide accuracy memo: a daemon
-                    // restarted on this file must not re-measure pairs
-                    // its snapshot already knows.
-                    if let PointOutcome::Feasible(r) = &outcome {
-                        crate::accuracy::seed(&point.net, point.word_bits, r.sqnr_db);
-                    }
-                    if cache.insert_loaded(&point, outcome) {
-                        report.loaded += 1;
-                    } else {
-                        report.duplicates += 1;
-                    }
+        let scan = self.scan(|record| match record {
+            Some((point, outcome)) => {
+                // Pre-seed the process-wide accuracy memo: a daemon
+                // restarted on this file must not re-measure pairs
+                // its snapshot already knows.
+                if let PointOutcome::Feasible(r) = &outcome {
+                    crate::accuracy::seed(&point.net, point.word_bits, r.sqnr_db);
                 }
-                None => report.rejected += 1,
+                if cache.insert_loaded(&point, outcome) {
+                    report.loaded += 1;
+                } else {
+                    report.duplicates += 1;
+                }
             }
-            at = next;
-        }
+            None => report.rejected += 1,
+        })?;
+        let Some(Scan { version, end, len }) = scan else {
+            return Ok(report);
+        };
+        report.corrupt_tail_bytes = (len - end) as u64;
         if report.corrupt_tail_bytes > 0 {
             // WAL-style recovery: drop the unreadable tail so the next
             // append extends the valid prefix instead of writing records
@@ -365,7 +407,7 @@ impl CacheFile {
             OpenOptions::new()
                 .write(true)
                 .open(&self.path)?
-                .set_len(at as u64)?;
+                .set_len(end as u64)?;
         }
         // Append-only files accrete dead weight (duplicates from
         // evict-then-reevaluate cycles, hash-rejected records). Once
@@ -396,65 +438,27 @@ impl CacheFile {
     /// I/O failures, and a present file whose magic line is foreign.
     /// A missing file is an empty snapshot: nothing to do.
     pub fn compact(&self) -> std::io::Result<CompactReport> {
-        let bytes = match std::fs::read(&self.path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(CompactReport::default()),
-            Err(e) => return Err(e),
-        };
-        if bytes.is_empty() {
-            return Ok(CompactReport::default());
-        }
-        let Some(version) = detect_version(&bytes) else {
-            return Err(std::io::Error::new(
-                ErrorKind::InvalidData,
-                format!("{} is not a chain-nn dse cache file", self.path.display()),
-            ));
-        };
         let mut report = CompactReport::default();
-        let mut seen: std::collections::HashMap<u64, Vec<DesignPoint>> =
-            std::collections::HashMap::new();
-        let mut live: Vec<(DesignPoint, PointOutcome)> = Vec::new();
-        let mut at = MAGIC.len();
-        while at < bytes.len() {
-            let Some((payload, next)) = read_frame(&bytes, at) else {
-                report.dropped_tail_bytes = (bytes.len() - at) as u64;
-                break;
-            };
-            match decode_payload(payload, version) {
-                Some((point, outcome)) => {
-                    let bucket = seen.entry(point.content_hash()).or_default();
-                    if bucket.contains(&point) {
-                        report.dropped_duplicates += 1;
-                    } else {
-                        bucket.push(point.clone());
-                        live.push((point, outcome));
-                        report.kept += 1;
-                    }
-                }
-                None => report.dropped_rejected += 1,
+        let seen = PointCache::new();
+        let mut live = Vec::new();
+        let scan = self.scan(|record| match record {
+            Some((point, outcome)) if seen.insert_loaded(&point, outcome.clone()) => {
+                live.push((point, outcome));
+                report.kept += 1;
             }
-            at = next;
-        }
-
+            Some(_) => report.dropped_duplicates += 1,
+            None => report.dropped_rejected += 1,
+        })?;
+        let Some(Scan { end, len, .. }) = scan else {
+            return Ok(report);
+        };
+        report.dropped_tail_bytes = (len - end) as u64;
         let tmp_path = {
             let mut p = self.path.clone().into_os_string();
             p.push(".compact-tmp");
             PathBuf::from(p)
         };
-        {
-            let mut tmp = File::create(&tmp_path)?;
-            let mut w = BufWriter::new(&mut tmp);
-            w.write_all(MAGIC)?;
-            for (point, outcome) in &live {
-                let payload = encode_payload(point, outcome);
-                w.write_all(&(payload.len() as u32).to_le_bytes())?;
-                w.write_all(&fnv1a(&payload).to_le_bytes())?;
-                w.write_all(&payload)?;
-            }
-            w.flush()?;
-            drop(w);
-            tmp.sync_data()?;
-        }
+        write_records(&mut File::create(&tmp_path)?, true, &live)?;
         std::fs::rename(&tmp_path, &self.path)?;
         Ok(report)
     }
@@ -474,54 +478,30 @@ impl CacheFile {
         if entries.is_empty() {
             return Ok(0);
         }
-        match std::fs::File::open(&self.path) {
+        let mut head = Vec::new();
+        match File::open(&self.path) {
+            Ok(existing) => {
+                existing.take(MAGIC.len() as u64).read_to_end(&mut head)?;
+            }
             Err(e) if e.kind() == ErrorKind::NotFound => {}
             Err(e) => return Err(e),
-            Ok(mut existing) => {
-                let mut head = [0u8; 32];
-                let mut got = 0usize;
-                while got < head.len() {
-                    match existing.read(&mut head[got..])? {
-                        0 => break,
-                        n => got += n,
-                    }
-                }
-                if got > 0 {
-                    match detect_version(&head[..got]) {
-                        Some(Version::V2) => {}
-                        Some(Version::V1) => {
-                            // Upgrade in place; compact always writes
-                            // the current version.
-                            self.compact()?;
-                        }
-                        None => {
-                            return Err(std::io::Error::new(
-                                ErrorKind::InvalidData,
-                                format!("{} is not a chain-nn dse cache file", self.path.display()),
-                            ));
-                        }
-                    }
-                }
+        }
+        match detect_version(&head) {
+            _ if head.is_empty() => {}
+            Some(Version::V2) => {}
+            // Upgrade in place; compact always writes the current
+            // version.
+            Some(Version::V1) => {
+                self.compact()?;
             }
+            None => return Err(self.foreign()),
         }
         let mut file = OpenOptions::new()
             .create(true)
             .append(true)
             .open(&self.path)?;
         let need_magic = file.metadata()?.len() == 0;
-        let mut w = BufWriter::new(&mut file);
-        if need_magic {
-            w.write_all(MAGIC)?;
-        }
-        for (point, outcome) in entries {
-            let payload = encode_payload(point, outcome);
-            w.write_all(&(payload.len() as u32).to_le_bytes())?;
-            w.write_all(&fnv1a(&payload).to_le_bytes())?;
-            w.write_all(&payload)?;
-        }
-        w.flush()?;
-        drop(w);
-        file.sync_data()?;
+        write_records(&mut file, need_magic, entries)?;
         Ok(entries.len())
     }
 
@@ -548,9 +528,8 @@ impl CacheFile {
             }
             Err(e) => {
                 // Put the journal back so a retried flush still sees
-                // these entries. (Not via `insert`: the points are
-                // already in the map, and its duplicate check would
-                // skip re-journaling them.)
+                // these entries. (Not via `insert`: its duplicate check
+                // would skip re-journaling points still in the map.)
                 cache.restore_dirty(dirty);
                 Err(e)
             }
@@ -632,7 +611,7 @@ mod tests {
             }
         );
         for (p, o) in &entries {
-            assert_eq!(cache.get(p), Some(o.clone()));
+            assert_eq!(cache.probe(p), Some(o.clone()));
         }
         // Loaded entries are not dirty: nothing to flush back out.
         assert_eq!(file.flush_dirty(&cache).unwrap(), 0);
@@ -674,8 +653,8 @@ mod tests {
         let report = file.load_into(&cache).unwrap();
         assert_eq!(report.loaded, 1);
         assert!(report.corrupt_tail_bytes > 0);
-        assert_eq!(cache.get(&pts[0]), Some(feasible(10.0)));
-        assert!(cache.get(&pts[1]).is_none());
+        assert_eq!(cache.probe(&pts[0]), Some(feasible(10.0)));
+        assert!(cache.probe(&pts[1]).is_none());
 
         // The tear was truncated away, so an append after recovery is
         // visible to the next load.
@@ -684,7 +663,7 @@ mod tests {
         let report = file.load_into(&reloaded).unwrap();
         assert_eq!(report.loaded, 2);
         assert_eq!(report.corrupt_tail_bytes, 0);
-        assert_eq!(reloaded.get(&pts[1]), Some(feasible(20.0)));
+        assert_eq!(reloaded.probe(&pts[1]), Some(feasible(20.0)));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -736,7 +715,7 @@ mod tests {
         assert_eq!(good.flush_dirty(&cache).unwrap(), 2);
         let reloaded = PointCache::new();
         assert_eq!(good.load_into(&reloaded).unwrap().loaded, 2);
-        assert_eq!(reloaded.get(&pts[0]), Some(feasible(1.0)));
+        assert_eq!(reloaded.probe(&pts[0]), Some(feasible(1.0)));
         std::fs::remove_file(&good_path).unwrap();
     }
 
@@ -778,8 +757,8 @@ mod tests {
         assert_eq!(load.loaded, 3);
         assert_eq!(load.dead(), 0);
         assert!(!load.compacted);
-        assert_eq!(cache.get(&pts[0]), Some(feasible(1.0)));
-        assert_eq!(cache.get(&pts[1]), Some(feasible(2.0)));
+        assert_eq!(cache.probe(&pts[0]), Some(feasible(1.0)));
+        assert_eq!(cache.probe(&pts[1]), Some(feasible(2.0)));
         // Idempotent: compacting a compacted file drops nothing.
         let again = file.compact().unwrap();
         assert_eq!(again.kept, 3);
@@ -857,7 +836,7 @@ mod tests {
 
         // The feasible record was upgraded with the measured SQNR of
         // its (net, word) pair — not the NaN placeholder.
-        let Some(PointOutcome::Feasible(r)) = cache.get(&pts[0]) else {
+        let Some(PointOutcome::Feasible(r)) = cache.probe(&pts[0]) else {
             panic!("feasible record lost in upgrade");
         };
         let expected = crate::accuracy::sqnr_for(&pts[0].net, pts[0].word_bits).unwrap();
@@ -874,7 +853,7 @@ mod tests {
         let report2 = file.load_into(&cache2).unwrap();
         assert_eq!(report2.loaded, 2);
         assert!(!report2.compacted);
-        assert_eq!(cache2.get(&pts[0]), cache.get(&pts[0]));
+        assert_eq!(cache2.probe(&pts[0]), cache.probe(&pts[0]));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -892,8 +871,8 @@ mod tests {
         let report = file.load_into(&cache).unwrap();
         assert_eq!(report.loaded, 2);
         assert_eq!(report.corrupt_tail_bytes, 0);
-        assert!(cache.get(&pts[0]).is_some());
-        assert_eq!(cache.get(&pts[1]), Some(feasible(2.0)));
+        assert!(cache.probe(&pts[0]).is_some());
+        assert_eq!(cache.probe(&pts[1]), Some(feasible(2.0)));
         std::fs::remove_file(&path).unwrap();
 
         // Appending to a foreign file is refused, protecting it.
@@ -971,7 +950,7 @@ mod tests {
         let report = file.load_into(&reloaded).unwrap();
         assert_eq!(report.loaded, 3);
         assert_eq!(reloaded.len(), 3);
-        assert!(reloaded.get(&pts[3]).is_none());
+        assert!(reloaded.probe(&pts[3]).is_none());
         std::fs::remove_file(&path).unwrap();
     }
 }

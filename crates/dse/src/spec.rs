@@ -49,33 +49,52 @@ impl DesignPoint {
         }
     }
 
+    /// Feeds the canonical encoding to `emit`, field by field: the one
+    /// field list behind both [`DesignPoint::canonical_bytes`] and
+    /// [`DesignPoint::content_hash`], so the two cannot drift apart.
+    fn canonical_fields(&self, mut emit: impl FnMut(&[u8])) {
+        emit(&(self.pes as u64).to_le_bytes());
+        emit(&self.freq_mhz.to_bits().to_le_bytes());
+        emit(&(self.kmem_depth as u64).to_le_bytes());
+        emit(&(self.imem_kb as u64).to_le_bytes());
+        emit(&(self.omem_kb as u64).to_le_bytes());
+        emit(&self.word_bits.to_le_bytes());
+        emit(&(self.batch as u64).to_le_bytes());
+        emit(self.net.as_bytes());
+    }
+
     /// Canonical byte encoding of the point — the input to
     /// [`DesignPoint::content_hash`] and the cache identity. Every field
     /// participates; floats are encoded by their exact bit pattern.
     pub fn canonical_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
-        out.extend_from_slice(&(self.pes as u64).to_le_bytes());
-        out.extend_from_slice(&self.freq_mhz.to_bits().to_le_bytes());
-        out.extend_from_slice(&(self.kmem_depth as u64).to_le_bytes());
-        out.extend_from_slice(&(self.imem_kb as u64).to_le_bytes());
-        out.extend_from_slice(&(self.omem_kb as u64).to_le_bytes());
-        out.extend_from_slice(&self.word_bits.to_le_bytes());
-        out.extend_from_slice(&(self.batch as u64).to_le_bytes());
-        out.extend_from_slice(self.net.as_bytes());
+        self.canonical_fields(|bytes| out.extend_from_slice(bytes));
         out
     }
 
-    /// Stable FNV-1a content hash of the canonical encoding. Two points
-    /// hash equal iff (modulo 64-bit collisions, which the cache guards
-    /// against) they describe the same configuration.
+    /// Stable FNV-1a content hash of the canonical encoding, folded
+    /// field by field with no intermediate buffer. Two points hash
+    /// equal iff (modulo 64-bit collisions, which the cache guards
+    /// against) they describe the same configuration. The value is
+    /// persisted in cache files and routes cluster shards, so it must
+    /// never change.
     pub fn content_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in &self.canonical_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let mut h = FNV_OFFSET;
+        self.canonical_fields(|bytes| h = fnv1a(h, bytes));
         h
     }
+}
+
+/// The FNV-1a 64-bit offset basis: the hash of no bytes.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues the FNV-1a 64-bit hash `h` over `bytes`.
+pub(crate) fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 impl fmt::Display for DesignPoint {
@@ -291,30 +310,8 @@ impl SweepSpec {
     ///
     /// Returns [`DseError::Spec`] naming the offending axis.
     pub fn validate(&self) -> Result<(), DseError> {
-        let axis_err = |name: &str| DseError::Spec(format!("sweep axis '{name}' is empty"));
-        if self.pes.is_empty() {
-            return Err(axis_err("pes"));
-        }
-        if self.freqs_mhz.is_empty() {
-            return Err(axis_err("freqs_mhz"));
-        }
-        if self.kmem_depths.is_empty() {
-            return Err(axis_err("kmem_depths"));
-        }
-        if self.imem_kb.is_empty() {
-            return Err(axis_err("imem_kb"));
-        }
-        if self.omem_kb.is_empty() {
-            return Err(axis_err("omem_kb"));
-        }
-        if self.word_bits.is_empty() {
-            return Err(axis_err("word_bits"));
-        }
-        if self.batches.is_empty() {
-            return Err(axis_err("batches"));
-        }
-        if self.nets.is_empty() {
-            return Err(axis_err("nets"));
+        if let Some((name, _)) = self.axis_lens().into_iter().find(|&(_, n)| n == 0) {
+            return Err(DseError::Spec(format!("sweep axis '{name}' is empty")));
         }
         for &b in &self.word_bits {
             // Sub-byte packing is not modeled: MemoryConfig counts whole
@@ -354,14 +351,21 @@ impl SweepSpec {
     /// the index space shard results merge back into. The partitioned
     /// point count is `points().len()`.
     pub fn len(&self) -> usize {
-        self.pes.len()
-            * self.freqs_mhz.len()
-            * self.kmem_depths.len()
-            * self.imem_kb.len()
-            * self.omem_kb.len()
-            * self.word_bits.len()
-            * self.batches.len()
-            * self.nets.len()
+        self.axis_lens().iter().map(|&(_, n)| n).product()
+    }
+
+    /// Every axis by name, with its length.
+    fn axis_lens(&self) -> [(&'static str, usize); 8] {
+        [
+            ("pes", self.pes.len()),
+            ("freqs_mhz", self.freqs_mhz.len()),
+            ("kmem_depths", self.kmem_depths.len()),
+            ("imem_kb", self.imem_kb.len()),
+            ("omem_kb", self.omem_kb.len()),
+            ("word_bits", self.word_bits.len()),
+            ("batches", self.batches.len()),
+            ("nets", self.nets.len()),
+        ]
     }
 
     /// Whether the grid is empty.
@@ -422,6 +426,7 @@ impl SweepSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn range_spec_parses_all_forms() {
@@ -525,6 +530,69 @@ mod tests {
         let mut c = a.clone();
         c.freq_mhz = 700.0000001;
         assert_ne!(a.content_hash(), c.content_hash());
+    }
+
+    /// FNV-1a over the materialized canonical encoding: the original
+    /// definition the field-by-field fold must equal.
+    fn fnv1a_of_bytes(point: &DesignPoint) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in &point.canonical_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    #[test]
+    fn content_hash_values_are_pinned() {
+        // Persisted in cache files and used to route cluster shards:
+        // these values must never change.
+        let paper = DesignPoint::paper_alexnet();
+        assert_eq!(paper.content_hash(), 0x096e_2a51_d9b5_fd3b);
+        let vgg16_8bit = DesignPoint {
+            net: "vgg16".into(),
+            word_bits: 8,
+            ..paper.clone()
+        };
+        assert_eq!(vgg16_8bit.content_hash(), 0x0bd9_3219_290e_2c8f);
+        let big_sram = DesignPoint {
+            imem_kb: 64,
+            omem_kb: 48,
+            ..paper
+        };
+        assert_eq!(big_sram.content_hash(), 0x1a8c_0224_6273_d1ac);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The fold equals FNV-1a over `canonical_bytes` for random
+        /// points, extreme integers, NaN/negative clocks and non-ASCII
+        /// names included.
+        #[test]
+        fn content_hash_is_fnv1a_of_the_canonical_bytes(
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = TestRng::deterministic(&seed.to_string());
+            let mut int = || match rng.next_u64() % 4 {
+                0 => 0,
+                1 => usize::MAX,
+                _ => rng.next_u64() as usize,
+            };
+            let (pes, kmem_depth, imem_kb, omem_kb, batch) = (int(), int(), int(), int(), int());
+            let names = ["alexnet", "vgg16", "", "r\u{e9}snet-\u{1f600}"];
+            let point = DesignPoint {
+                pes,
+                freq_mhz: f64::from_bits(rng.next_u64()),
+                kmem_depth,
+                imem_kb,
+                omem_kb,
+                word_bits: rng.next_u64() as u32,
+                batch,
+                net: names[rng.next_u64() as usize % names.len()].repeat(rng.next_u64() as usize % 3),
+            };
+            prop_assert_eq!(point.content_hash(), fnv1a_of_bytes(&point));
+        }
     }
 
     #[test]

@@ -152,8 +152,6 @@ struct Shared {
     shutdown: AtomicBool,
     threads: usize,
     loaded_from_disk: usize,
-    /// Whether the cache has a capacity bound (`--cache-cap`).
-    cache_bounded: bool,
     /// Sessions currently open (incremented at accept, decremented when
     /// the session thread exits).
     connections: AtomicUsize,
@@ -425,14 +423,6 @@ impl Shared {
     /// something, and once more at shutdown.
     fn flush(&self) -> std::io::Result<usize> {
         let Some(file) = &self.cache_file else {
-            if self.cache_bounded {
-                // No persistence to protect: discard the journal so the
-                // capacity bound can actually evict (eviction never
-                // touches dirty entries) and the journal does not hold
-                // a second copy of every evaluation forever.
-                let _guard = self.flush_lock.lock().expect("flush lock poisoned");
-                drop(self.cache.take_dirty());
-            }
             return Ok(0);
         };
         let _guard = self.flush_lock.lock().expect("flush lock poisoned");
@@ -520,6 +510,12 @@ impl Server {
             Some(capacity) => PointCache::bounded(capacity),
             None => PointCache::new(),
         };
+        // With no file there is nothing to flush the journal to: keep
+        // none, rather than a second copy of every evaluation.
+        let cache = match &config.cache_file {
+            Some(_) => cache,
+            None => cache.without_journal(),
+        };
         let cache_file = config.cache_file.as_ref().map(CacheFile::new);
         let mut loaded_from_disk = 0;
         if let Some(file) = &cache_file {
@@ -556,7 +552,6 @@ impl Server {
             shutdown: AtomicBool::new(false),
             threads,
             loaded_from_disk,
-            cache_bounded: config.cache_capacity.is_some(),
             connections: AtomicUsize::new(0),
             max_connections: config.max_connections.max(1),
             registry,
@@ -1765,6 +1760,31 @@ mod tests {
         };
         record_span(shared, &span, status, received, received.elapsed());
         outcome
+    }
+
+    #[test]
+    fn a_daemon_without_a_cache_file_keeps_no_journal() {
+        for cache_capacity in [None, Some(64)] {
+            let server = Server::bind(ServerConfig {
+                threads: 2,
+                cache_capacity,
+                ..ServerConfig::default()
+            })
+            .expect("bind");
+            let shared = Arc::clone(&server.shared);
+            with_workers(&shared, || {
+                for pes in [144, 288, 576] {
+                    let eval = format!(r#"{{"type":"eval","point":{{"pes":{pes}}}}}"#);
+                    assert!(matches!(
+                        handle_instrumented(&eval, &shared),
+                        RequestOutcome::Reply(r, false) if matches!(*r, Response::Eval { .. })
+                    ));
+                }
+            });
+            assert_eq!(shared.cache.stats().misses, 3);
+            assert_eq!(shared.cache.len(), 3);
+            assert!(shared.cache.take_dirty().is_empty(), "{cache_capacity:?}");
+        }
     }
 
     #[test]

@@ -510,9 +510,9 @@ fn connection_bound_refuses_with_busy_then_recovers() {
 }
 
 /// `--cache-cap` bounds the in-memory cache even without a cache file:
-/// the daemon discards the dirty journal after each request (there is
-/// nothing to persist), so flushed-out entries become evictable and
-/// the cache cannot grow without limit.
+/// the daemon's cache then keeps no dirty journal (there is nothing to
+/// persist), so every entry is evictable and the cache cannot grow
+/// without limit.
 #[test]
 fn cache_cap_bounds_memory_without_a_cache_file() {
     let (addr, daemon) = start(ServerConfig {
@@ -521,9 +521,9 @@ fn cache_cap_bounds_memory_without_a_cache_file() {
         ..ServerConfig::default()
     });
     let mut client = Client::connect(addr).expect("connect");
-    // Two disjoint sweeps of 40 points each. The first sweep's entries
-    // are journal-clean by the time the second runs, so the second's
-    // inserts must evict: far fewer than 80 points can remain.
+    // Two disjoint sweeps of 40 points each. No entry is journaled, so
+    // inserts past the bound must evict: far fewer than 80 points can
+    // remain.
     let first = lenet_grid((1..=20).map(|i| i * 25).collect());
     let second = lenet_grid((21..=40).map(|i| i * 25).collect());
     sweep_summary(&mut client, &first);
