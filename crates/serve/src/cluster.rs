@@ -1,6 +1,8 @@
 //! The cluster coordinator: one daemon that speaks the ordinary
 //! line-delimited protocol on the front and fans work out to a fleet of
-//! shard daemons on the back.
+//! shard daemons on the back. Its accept loop, session loop and the
+//! `tune`, `tune_frontier` and `frontier` replies are the explorer
+//! daemon's own (`front`); only the per-request handler differs.
 //!
 //! Routing is by content hash: `eval` goes to the shard that owns
 //! `point.content_hash() % shards`, sweeps are split into
@@ -24,25 +26,18 @@
 //! (warm from its own `--cache-file`) rejoins without coordinator
 //! restart.
 
-use std::io::{BufRead, BufReader, BufWriter, Read};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::TcpListener;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use chain_nn_dse::{pareto, DesignPoint, PointOutcome, SweepPart, SweepSpec};
 use chain_nn_obs::{Counter, Gauge, Registry};
-use chain_nn_tuner::{frontier, tune, BatchFnEvaluator, TuneError};
+use chain_nn_tuner::{tune, BatchFnEvaluator, TuneError};
 
 use crate::client::{Client, ClientError};
-use crate::protocol::{
-    FrontierEntry, FrontierStepSummary, Request, Response, ServerStats, ShardStat, SweepSummary,
-    TuneSummary,
-};
-use crate::server::LineSink;
-
-/// Cap on one request line, matching the shard daemon's bound.
-const MAX_REQUEST_BYTES: u64 = 1 << 20;
+use crate::front::{self, Front, LineSink, RequestOutcome, RoundResult};
+use crate::protocol::{FrontierEntry, Request, Response, ServerStats, ShardStat, SweepSummary};
 
 /// How many times a `busy` shard is retried before it is degraded.
 const BUSY_RETRIES: u32 = 3;
@@ -125,10 +120,7 @@ impl ShardSlot {
 
 struct Shared {
     shards: Vec<ShardSlot>,
-    requests: AtomicU64,
-    shutdown: AtomicBool,
-    connections: AtomicUsize,
-    max_connections: usize,
+    front: Arc<Front>,
     registry: Registry,
 }
 
@@ -359,10 +351,7 @@ impl Coordinator {
             listener,
             shared: Arc::new(Shared {
                 shards,
-                requests: AtomicU64::new(0),
-                shutdown: AtomicBool::new(false),
-                connections: AtomicUsize::new(0),
-                max_connections: config.max_connections.max(1),
+                front: Front::new(config.max_connections, &registry),
                 registry,
             }),
         })
@@ -385,109 +374,38 @@ impl Coordinator {
     /// Fatal listener failures; per-connection I/O errors only end
     /// that session.
     pub fn run(self) -> std::io::Result<ClusterReport> {
-        self.listener.set_nonblocking(true)?;
         let shared = &self.shared;
-        loop {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _addr)) => {
-                    // Same as the shard daemon: pipelined replies are
-                    // many small writes; Nagle would stall them on the
-                    // peer's delayed ACKs.
-                    stream.set_nodelay(true).ok();
-                    let open = shared.connections.load(Ordering::SeqCst);
-                    if open >= shared.max_connections {
-                        let _ = LineSink::new(&mut BufWriter::new(stream)).send(&Response::Busy {
-                            active: open,
-                            capacity: shared.max_connections,
-                        });
-                        continue;
-                    }
-                    shared.connections.fetch_add(1, Ordering::SeqCst);
-                    let s = Arc::clone(shared);
-                    std::thread::spawn(move || {
-                        serve_session(stream, &s);
-                        s.connections.fetch_sub(1, Ordering::SeqCst);
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let s = Arc::clone(shared);
+        shared.front.accept_loop(&self.listener, move |stream| {
+            // Each session holds its own lazily-connected shard fleet,
+            // so concurrent client sessions fan out independently.
+            let mut conns: Vec<ShardConn<'_>> = s.shards.iter().map(ShardConn::new).collect();
+            front::serve_session(stream, &s.front, |line, sink| {
+                handle_request(line, &s, &mut conns, sink)
+            });
+        })?;
         Ok(ClusterReport {
-            requests: shared.requests.load(Ordering::Relaxed),
+            requests: shared.front.requests.load(Ordering::Relaxed),
         })
     }
 }
 
-/// One client session on the coordinator: line in, merged line(s) out.
-/// Each session holds its own lazily-connected shard fleet, so
-/// concurrent client sessions fan out independently.
-fn serve_session(stream: TcpStream, shared: &Arc<Shared>) {
-    let Ok(peer_read) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(peer_read);
-    let mut writer = BufWriter::new(stream);
-    let mut sink = LineSink::new(&mut writer);
-    let mut conns: Vec<ShardConn<'_>> = shared.shards.iter().map(ShardConn::new).collect();
-    let mut line = String::new();
-    loop {
-        line.clear();
-        sink.set_req_id(None);
-        match (&mut reader).take(MAX_REQUEST_BYTES).read_line(&mut line) {
-            Ok(0) | Err(_) => return,
-            Ok(_) if line.len() as u64 >= MAX_REQUEST_BYTES && !line.ends_with('\n') => {
-                let _ = sink.send(&Response::Error {
-                    message: format!("request exceeds {MAX_REQUEST_BYTES} bytes"),
-                });
-                return;
-            }
-            Ok(_) => {}
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        shared.requests.fetch_add(1, Ordering::Relaxed);
-        let (request, meta) = match Request::decode_with_meta(trimmed) {
-            Ok(pair) => pair,
-            Err(e) => {
-                let reply = Response::Error {
-                    message: e.to_string(),
-                };
-                if sink.send(&reply).is_err() {
-                    return;
-                }
-                continue;
-            }
-        };
-        sink.set_req_id(meta.req_id);
-        let stop = matches!(request, Request::Shutdown);
-        if handle_request(request, shared, &mut conns, &mut sink).is_err() {
-            return; // client went away mid-reply
-        }
-        if stop {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            return;
-        }
-    }
-}
-
-/// Routes one request across the shard fleet and writes the merged
-/// reply (or streamed lines) through `sink`. `Err` means the *client*
-/// connection died; shard failures degrade the reply instead.
+/// The coordinator's per-request handler: routes one request line
+/// across the shard fleet and answers the merged reply (or streams the
+/// merged lines through `sink`). Shard failures degrade the reply; they
+/// never end the client's session.
 fn handle_request(
-    request: Request,
-    shared: &Arc<Shared>,
+    line: &str,
+    shared: &Shared,
     conns: &mut [ShardConn<'_>],
     sink: &mut LineSink<'_>,
-) -> std::io::Result<()> {
-    match request {
+) -> RequestOutcome {
+    let (request, meta) = match Request::decode_with_meta(line) {
+        Ok(pair) => pair,
+        Err(e) => return RequestOutcome::reply(Response::error(e), false),
+    };
+    sink.set_req_id(meta.req_id);
+    let response = match request {
         Request::Eval(point) => {
             // Route to the owner; on failure walk the other shards —
             // the models are pure, so any shard computes the same
@@ -505,131 +423,64 @@ fn handle_request(
                     break;
                 }
             }
-            sink.send(&reply.unwrap_or_else(|| Response::Error {
-                message: "no shard could evaluate the point".to_owned(),
-            }))
+            reply.unwrap_or_else(|| Response::error("no shard could evaluate the point"))
         }
-        Request::EvalBatch(points) => {
-            let reply = match scatter_gather(conns, &points) {
-                Ok((outcomes, cache_hits, cache_misses, _degraded)) => Response::EvalBatch {
-                    outcomes,
-                    cache_hits,
-                    cache_misses,
-                },
-                Err(message) => Response::Error { message },
-            };
-            sink.send(&reply)
-        }
-        Request::Sweep(spec) => sink.send(&merged_sweep(conns, &spec)),
+        Request::EvalBatch(points) => match scatter_gather(conns, &points) {
+            Ok((outcomes, cache_hits, cache_misses, _degraded)) => Response::EvalBatch {
+                outcomes,
+                cache_hits,
+                cache_misses,
+            },
+            Err(message) => Response::Error { message },
+        },
+        Request::Sweep(spec) => merged_sweep(conns, &spec),
         Request::Tune(request) => {
             let mut degraded = false;
-            let result = {
-                let degraded = &mut degraded;
-                let mut evaluator = BatchFnEvaluator::new(|points: &[DesignPoint]| {
-                    let (outcomes, hits, misses, part_degraded) =
-                        scatter_gather(conns, points).map_err(TuneError::Backend)?;
-                    *degraded |= part_degraded;
-                    Ok((outcomes, hits, misses))
-                });
-                tune(&request, &mut evaluator)
-            };
-            let reply = match result {
-                Err(e) => Response::Error {
-                    message: e.to_string(),
-                },
-                Ok(report) => Response::Tune(TuneSummary {
-                    best: report.best,
-                    evaluations: report.evaluations,
-                    cache_hits: report.cache_hits,
-                    cache_misses: report.cache_misses,
-                    rounds: report.rounds,
-                    exhaustive_points: report.exhaustive_points,
-                    degraded,
-                }),
-            };
-            sink.send(&reply)
+            let result = tune(&request, &mut cluster_rounds(conns, &mut degraded));
+            front::tune_reply(result, degraded)
         }
         Request::TuneFrontier(request) => {
-            let mut sink_dead = false;
-            let result = {
-                let mut evaluator = BatchFnEvaluator::new(|points: &[DesignPoint]| {
-                    let (outcomes, hits, misses, _degraded) =
-                        scatter_gather(conns, points).map_err(TuneError::Backend)?;
-                    Ok((outcomes, hits, misses))
-                });
-                let steps = request.sweep.values.len();
-                frontier::tune_frontier(&request, &mut evaluator, |i, step| {
-                    let line = Response::TuneFrontierStep(FrontierStepSummary {
-                        step: i,
-                        steps,
-                        result: step.clone(),
-                    });
-                    sink.send(&line).map_err(|_| {
-                        sink_dead = true;
-                        TuneError::Backend("client closed the stream".to_owned())
-                    })
-                })
-            };
-            match result {
-                Ok(report) => sink.send(&Response::TuneFrontierDone(
-                    crate::protocol::FrontierDoneSummary {
-                        steps: report.steps.len(),
-                        frontier: report.frontier,
-                        evaluations: report.evaluations,
-                        standalone_evaluations: report.standalone_evaluations,
-                        cache_hits: report.cache_hits,
-                        cache_misses: report.cache_misses,
-                        exhaustive_points: report.exhaustive_points,
-                    },
-                )),
-                Err(_) if sink_dead => Err(std::io::Error::new(
-                    std::io::ErrorKind::BrokenPipe,
-                    "client closed the stream",
-                )),
-                Err(e) => sink.send(&Response::Error {
-                    message: e.to_string(),
-                }),
-            }
+            let (outcome, _) =
+                front::stream_tune_frontier(&request, &mut cluster_rounds(conns, &mut false), sink);
+            return outcome;
         }
         Request::Frontier { dims, sqnr, stream } => {
-            let (entries, degraded) = merged_frontier(conns, dims, sqnr);
-            if stream {
-                let total = entries.len();
-                for entry in entries {
-                    sink.send(&Response::FrontierStreamEntry { entry })?;
-                }
-                sink.send(&Response::FrontierStreamDone {
-                    dims,
-                    entries: total,
-                    degraded,
-                })
-            } else {
-                sink.send(&Response::Frontier {
-                    dims,
-                    entries,
-                    degraded,
-                })
-            }
+            let (entries, degraded) = gathered_frontier(conns, dims, sqnr);
+            return front::frontier_reply(&entries, dims, sqnr, stream, degraded, sink);
         }
-        Request::Stats => sink.send(&merged_stats(conns, shared)),
-        Request::Metrics => {
-            let snapshot = shared.registry.snapshot();
-            sink.send(&Response::Metrics { snapshot })
-        }
+        Request::Stats => merged_stats(conns, shared),
+        Request::Metrics => Response::Metrics {
+            snapshot: shared.registry.snapshot(),
+        },
         Request::Shutdown => {
             // Best effort: shards that are down stay down.
             for conn in conns.iter_mut() {
                 let _ = conn.call(&Request::Shutdown);
             }
-            sink.send(&Response::Shutdown)
+            return RequestOutcome::reply(Response::Shutdown, true);
         }
         Request::MetricsHistory
         | Request::Watch { .. }
         | Request::TraceQuery { .. }
-        | Request::Dump => sink.send(&Response::Error {
-            message: "not supported by the cluster coordinator; ask a shard directly".to_owned(),
-        }),
-    }
+        | Request::Dump => {
+            Response::error("not supported by the cluster coordinator; ask a shard directly")
+        }
+    };
+    RequestOutcome::reply(response, false)
+}
+
+/// The coordinator's tuner evaluator: each round is scatter-gathered
+/// across the fleet; `degraded` is set when any round was re-routed.
+fn cluster_rounds<'a, 'b>(
+    conns: &'a mut [ShardConn<'b>],
+    degraded: &'a mut bool,
+) -> BatchFnEvaluator<impl FnMut(Vec<DesignPoint>) -> RoundResult + use<'a, 'b>> {
+    BatchFnEvaluator::new(move |points: Vec<DesignPoint>| {
+        let (outcomes, hits, misses, part_degraded) =
+            scatter_gather(conns, &points).map_err(TuneError::Backend)?;
+        *degraded |= part_degraded;
+        Ok((outcomes, hits, misses))
+    })
 }
 
 /// Fans one sweep out as hash-partitioned sub-sweeps and merges the
@@ -638,15 +489,12 @@ fn handle_request(
 /// a single daemon's — see [`pareto::merge_candidates`]).
 fn merged_sweep(conns: &mut [ShardConn<'_>], spec: &SweepSpec) -> Response {
     if spec.part.is_some() {
-        return Response::Error {
-            message: "the coordinator assigns sweep partitions itself; send an unpartitioned spec"
-                .to_owned(),
-        };
+        return Response::error(
+            "the coordinator assigns sweep partitions itself; send an unpartitioned spec",
+        );
     }
     if let Err(e) = spec.validate() {
-        return Response::Error {
-            message: e.to_string(),
-        };
+        return Response::error(e);
     }
     let shards = conns.len();
     let start = Instant::now();
@@ -658,17 +506,7 @@ fn merged_sweep(conns: &mut [ShardConn<'_>], spec: &SweepSpec) -> Response {
         });
         conn.call(&Request::Sweep(part))
     });
-    let mut summary = SweepSummary {
-        points: 0,
-        feasible: 0,
-        cache_hits: 0,
-        cache_misses: 0,
-        wall_ms: 0.0,
-        frontier_3d: Vec::new(),
-        frontier_sqnr: Vec::new(),
-        candidates: Vec::new(),
-        degraded: false,
-    };
+    let mut summary = SweepSummary::default();
     let mut parts: Vec<Vec<(usize, pareto::Objectives)>> = Vec::new();
     let mut shard_error = None;
     let mut answered = 0usize;
@@ -690,9 +528,9 @@ fn merged_sweep(conns: &mut [ShardConn<'_>], spec: &SweepSpec) -> Response {
     if answered == 0 {
         // Nothing merged: a spec the shards reject is an error reply
         // (every shard said the same thing); an unreachable fleet too.
-        return Response::Error {
-            message: shard_error.unwrap_or_else(|| "no shard answered the sweep".to_owned()),
-        };
+        return Response::error(
+            shard_error.unwrap_or_else(|| "no shard answered the sweep".to_owned()),
+        );
     }
     summary.degraded |= answered < conns.len();
     summary.frontier_3d = pareto::merge_frontier_3d(&parts);
@@ -701,12 +539,12 @@ fn merged_sweep(conns: &mut [ShardConn<'_>], spec: &SweepSpec) -> Response {
     Response::Sweep(summary)
 }
 
-/// Gathers every shard's whole-cache frontier and re-filters the union.
-/// Entries are sorted by canonical point bytes before filtering — the
-/// same deterministic order a single daemon's cache iterates in — and
-/// identical entries (a point that was re-routed during degradation
-/// and evaluated on two shards) are deduplicated first.
-fn merged_frontier(
+/// Gathers every shard's whole-cache frontier for re-filtering. The
+/// union is sorted by canonical point bytes — the same deterministic
+/// order a single daemon's cache iterates in — and identical entries (a
+/// point that was re-routed during degradation and evaluated on two
+/// shards) are deduplicated.
+fn gathered_frontier(
     conns: &mut [ShardConn<'_>],
     dims: u8,
     sqnr: bool,
@@ -735,19 +573,7 @@ fn merged_frontier(
     }
     all.sort_by_key(|e| e.point.canonical_bytes());
     all.dedup_by(|a, b| a.point == b.point);
-    let objectives: Vec<(usize, pareto::Objectives)> = all
-        .iter()
-        .enumerate()
-        .map(|(i, e)| (i, pareto::Objectives::from(&e.result)))
-        .collect();
-    let keep = if dims == 2 {
-        pareto::frontier_2d(&objectives)
-    } else if sqnr {
-        pareto::frontier_accuracy(&objectives)
-    } else {
-        pareto::frontier_3d(&objectives)
-    };
-    (keep.into_iter().map(|i| all[i].clone()).collect(), degraded)
+    (all, degraded)
 }
 
 /// Aggregates shard `stats` into one fleet view, with the per-shard
@@ -755,24 +581,11 @@ fn merged_frontier(
 fn merged_stats(conns: &mut [ShardConn<'_>], shared: &Shared) -> Response {
     let replies = fan_out(conns, |_, conn| conn.call(&Request::Stats));
     let mut stats = ServerStats {
-        cached_points: 0,
-        hits: 0,
-        misses: 0,
-        hit_rate: 0.0,
-        requests: shared.requests.load(Ordering::Relaxed),
-        active_jobs: 0,
-        queue_capacity: 0,
-        open_connections: shared.connections.load(Ordering::SeqCst),
-        max_connections: shared.max_connections,
-        threads: 0,
-        loaded_from_disk: 0,
-        persistent: false,
+        requests: shared.front.requests.load(Ordering::Relaxed),
+        open_connections: shared.front.connections.load(Ordering::SeqCst),
+        max_connections: shared.front.max_connections,
         uptime_s: shared.registry.uptime().as_secs_f64(),
-        inflight_requests: 0,
-        queue_depth: 0,
-        slos: 0,
-        slo_breach_ticks: 0,
-        shards: Vec::new(),
+        ..ServerStats::default()
     };
     for reply in replies {
         if let Ok(Response::Stats(s)) = reply {

@@ -18,15 +18,28 @@
 //! * [`slo`] — latency service-level objectives (`eval:p99_us=500`)
 //!   evaluated every sampler tick over the trailing 10 s window, with
 //!   per-SLO compliance and error-budget gauges in the registry.
-//! * [`server`] — `std::net::TcpListener` accept loop, session threads,
-//!   the worker pool, cache-file replay at startup and append-flush on
-//!   completed requests and shutdown (std-only: the build environment
-//!   has no async runtime, and a worker pool over blocking sockets
-//!   serves this protocol fine). Every request's points run on the
-//!   work-assisting engine ([`chain_nn_dse::engine`]): per-request
-//!   point lists with atomic claim cursors, adaptive claim sizes,
-//!   bounded admission with an explicit `busy` reply as backpressure,
-//!   and one admission slot held across an auto-tune's rounds.
+//! * [`server`] — the explorer daemon: its per-request handler on the
+//!   shared front end, the worker pool, cache-file replay at startup
+//!   and append-flush on completed requests and shutdown (std-only: the
+//!   build environment has no async runtime, and a worker pool over
+//!   blocking sockets serves this protocol fine). Every request's points
+//!   run on the work-assisting engine ([`chain_nn_dse::engine`]):
+//!   per-request point lists with atomic claim cursors, adaptive claim
+//!   sizes, bounded admission with an explicit `busy` reply as
+//!   backpressure, and one admission slot held across an auto-tune's
+//!   rounds.
+//! * [`cluster`] — the cluster coordinator: the same protocol on the
+//!   front, a fleet of shard daemons on the back. Points route by
+//!   content hash, sweeps split into hash-partitioned sub-sweeps whose
+//!   frontier candidates merge by global grid index, tune rounds
+//!   scatter-gather across the shards, and a shard that stays down or
+//!   busy yields a `"degraded":true` reply over the survivors
+//!   (`docs/PROTOCOL.md` §Cluster coordination).
+//! * `front` (crate-private) — the one front end both daemons run on:
+//!   the accept loop (connection bound, `TCP_NODELAY`), the session loop
+//!   (line cap, pipelined flush coalescing, `shutdown`), the line sink,
+//!   and the `tune`, `tune_frontier` and `frontier` replies. The daemon
+//!   and the coordinator differ only in the per-request handler.
 //! * [`client`] — blocking client used by `chain-nn query` and tests.
 //! * [`json`] — the dependency-free codec both sides share: `JsonWriter`
 //!   encodes a line into one reused buffer, and the [`json::Doc`] token
@@ -69,6 +82,7 @@
 
 pub mod client;
 pub mod cluster;
+mod front;
 pub mod json;
 pub mod protocol;
 pub mod server;

@@ -572,7 +572,7 @@ macro_rules! from_wire_int {
     )+};
 }
 
-from_wire_int!(u64, usize, u32);
+from_wire_int!(u64, usize, u32, u8);
 
 impl FromWire for f64 {
     fn from_wire(v: Node<'_>, key: &str) -> Result<f64, ProtocolError> {
@@ -1141,6 +1141,13 @@ impl Request {
 }
 
 impl Response {
+    /// An error reply carrying `message`.
+    pub(crate) fn error(message: impl ToString) -> Response {
+        Response::Error {
+            message: message.to_string(),
+        }
+    }
+
     /// The single-line wire form (no trailing newline).
     pub fn encode(&self) -> String {
         self.encode_with_req(None)
@@ -1719,9 +1726,9 @@ impl Request {
 
     /// Parses one request line together with its transport envelope:
     /// the optional propagated `"trace"` context and the optional
-    /// pipelining id `"req"`. The daemon's session loop uses this so it
-    /// can tag every span of the request and echo `"req"` on every
-    /// reply line belonging to it.
+    /// pipelining id `"req"`. Both front ends' request handlers use this
+    /// so they can echo `"req"` on every reply line belonging to the
+    /// request (and the daemon can tag every span of it).
     ///
     /// # Errors
     ///
@@ -1933,7 +1940,7 @@ impl Response {
                 )?)
             }
             "frontier" if done() => Response::FrontierStreamDone {
-                dims: field::<usize>(v, "dims", 3)? as u8,
+                dims: field(v, "dims", 3)?,
                 entries: field(v, "entries", 0)?,
                 degraded: field(v, "degraded", false)?,
             },
@@ -1941,7 +1948,7 @@ impl Response {
                 entry: entry_from(v, "frontier stream entry")?,
             },
             "frontier" => Response::Frontier {
-                dims: field::<usize>(v, "dims", 3)? as u8,
+                dims: field(v, "dims", 3)?,
                 entries: list(v, "entries", "frontier response needs 'entries'", |e| {
                     entry_from(e, "frontier entry")
                 })?,
@@ -2593,6 +2600,38 @@ mod tests {
         // A step line without its budget value is malformed, not NaN.
         let headless = r#"{"ok":true,"type":"tune_frontier","step":0,"steps":2,"found":false}"#;
         assert!(Response::decode(headless).is_err());
+    }
+
+    #[test]
+    fn frontier_reply_dims_out_of_the_u8_range_are_rejected_not_truncated() {
+        // 258 used to read back as 258 mod 256 = 2.
+        for line in [
+            r#"{"ok":true,"type":"frontier","done":true,"dims":258,"entries":0}"#,
+            r#"{"ok":true,"type":"frontier","dims":258,"entries":[]}"#,
+        ] {
+            let err = Response::decode(line).expect_err(line);
+            assert!(err.to_string().contains("'dims' out of range"), "{err}");
+        }
+        for (line, want) in [
+            (
+                r#"{"ok":true,"type":"frontier","done":true,"dims":255,"entries":0}"#,
+                Response::FrontierStreamDone {
+                    dims: 255,
+                    entries: 0,
+                    degraded: false,
+                },
+            ),
+            (
+                r#"{"ok":true,"type":"frontier","dims":2,"entries":[]}"#,
+                Response::Frontier {
+                    dims: 2,
+                    entries: Vec::new(),
+                    degraded: false,
+                },
+            ),
+        ] {
+            assert_eq!(Response::decode(line).expect(line), want);
+        }
     }
 
     #[test]

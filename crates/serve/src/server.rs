@@ -1,42 +1,44 @@
-//! The explorer daemon: TCP accept loop, per-connection sessions, the
-//! worker pool, and cache persistence.
+//! The explorer daemon: the per-request handler behind the shared front
+//! end, the worker pool, and cache persistence.
 //!
 //! One [`Server`] owns one work-assisting [`Engine`] and the one shared
 //! [`PointCache`] it evaluates through. Each accepted connection gets a
-//! session thread that reads request lines, submits work, and writes
-//! response lines; the actual evaluations happen on the engine's worker
-//! pool, where claims from all sessions interleave fairly. With a cache file
-//! attached, the daemon replays it before accepting connections and
-//! appends every completed request's fresh evaluations (plus a final
-//! sweep at shutdown), so a restarted daemon re-serves prior sweeps
-//! without a single model evaluation.
+//! session thread (the front end's accept and session loops, shared
+//! with the cluster coordinator) that reads request lines, submits
+//! work, and writes response lines; the actual evaluations happen on
+//! the engine's worker pool, where claims from all sessions interleave
+//! fairly. With a cache file attached, the daemon replays it before
+//! accepting connections and appends every completed request's fresh
+//! evaluations (plus a final sweep at shutdown), so a restarted daemon
+//! re-serves prior sweeps without a single model evaluation.
 //!
 //! Shutdown is cooperative: a `shutdown` request is acknowledged on its
 //! own connection, admission closes, the workers drain what was already
 //! admitted, the cache is flushed, and [`Server::run`] returns.
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufWriter, Write};
+use std::net::TcpListener;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Once, OnceLock, Weak};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, Once, OnceLock, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 use chain_nn_dse::engine::{
     AdmissionSlot, ClaimPolicy, Engine, EngineMetrics, JobResult, SubmitError, TraceRef,
     DEFAULT_MAX_CLAIM,
 };
-use chain_nn_dse::{pareto, CacheFile, DesignPoint, MixOutcome, PointCache, WorkloadMix};
+use chain_nn_dse::{pareto, CacheFile, DesignPoint, PointCache};
 use chain_nn_obs::timeseries::{TimeSeries, Window};
 use chain_nn_obs::trace::{self as obs_trace, TraceContext};
 use chain_nn_obs::{Counter, Gauge, Histogram, Registry};
-use chain_nn_tuner::{evaluator, frontier, tune, MixEvaluator, TuneError};
+use chain_nn_tuner::{tune, BatchFnEvaluator, TuneError};
 
+use crate::front::{self, Front, LineSink, RequestOutcome, RoundResult};
 use crate::json::JsonWriter;
 use crate::protocol::{
-    FrontierDoneSummary, FrontierEntry, FrontierStepSummary, HistoryTypeWindow, HistoryWindow,
-    MetricsHistory, Request, Response, ServerStats, SweepSummary, TuneSummary, WatchSample,
+    FrontierEntry, HistoryTypeWindow, HistoryWindow, MetricsHistory, Request, Response,
+    ServerStats, SweepSummary, WatchSample,
 };
 use crate::slo::{SloSpec, SloTracker};
 
@@ -148,14 +150,11 @@ struct Shared {
     /// interleave appends.
     flush_lock: Mutex<()>,
     persisted: AtomicU64,
-    requests: AtomicU64,
-    shutdown: AtomicBool,
+    /// Request and connection counts, the connection bound and the
+    /// shutdown flag the shared accept and session loops run on.
+    front: Arc<Front>,
     threads: usize,
     loaded_from_disk: usize,
-    /// Sessions currently open (incremented at accept, decremented when
-    /// the session thread exits).
-    connections: AtomicUsize,
-    max_connections: usize,
     /// This daemon's private metric registry. Per-daemon (not the
     /// process-global one) so two servers in one test process do not
     /// see each other's request counters; the `metrics` reply merges
@@ -246,8 +245,6 @@ struct ServeMetrics {
     inflight: Arc<Gauge>,
     /// Admission refusals (`busy` replies from the job queue bound).
     busy: Arc<Counter>,
-    /// Connections refused at the accept loop (connection bound).
-    refused: Arc<Counter>,
     /// Cache hits summed over completed jobs (per-job counters, so
     /// one client's traffic is not counted against another's).
     cache_hits: Arc<Counter>,
@@ -265,7 +262,6 @@ impl ServeMetrics {
         ServeMetrics {
             inflight: registry.gauge("serve_inflight_requests"),
             busy: registry.counter("serve_busy_total"),
-            refused: registry.counter("serve_connections_refused_total"),
             cache_hits: registry.counter("serve_cache_hits_total"),
             cache_misses: registry.counter("serve_cache_misses_total"),
             flush_ns: registry.histogram("serve_flush_ns"),
@@ -341,7 +337,8 @@ impl KindMetrics {
 /// Per-request measurement record: filled in by [`handle_request`] as
 /// the request moves through parse → queue → execute → flush, then
 /// folded into the registry and (optionally) the trace log by the
-/// session loop.
+/// session handler.
+#[derive(Default)]
 struct RequestSpan {
     /// Monotonic id, unique within one daemon lifetime.
     id: u64,
@@ -381,18 +378,8 @@ impl RequestSpan {
     fn new(id: u64) -> RequestSpan {
         RequestSpan {
             id,
-            trace_id: 0,
-            remote_parent: 0,
-            root_span: 0,
             kind: "unknown",
-            parse: Duration::ZERO,
-            queue_wait: Duration::ZERO,
-            execute: Duration::ZERO,
-            flush: Duration::ZERO,
-            jobs: 0,
-            points: 0,
-            cache_hits: 0,
-            cache_misses: 0,
+            ..RequestSpan::default()
         }
     }
 
@@ -425,7 +412,7 @@ impl Shared {
         let Some(file) = &self.cache_file else {
             return Ok(0);
         };
-        let _guard = self.flush_lock.lock().expect("flush lock poisoned");
+        let _guard = relock(&self.flush_lock);
         let n = file.flush_dirty(&self.cache)?;
         self.persisted.fetch_add(n as u64, Ordering::Relaxed);
         Ok(n)
@@ -445,7 +432,7 @@ impl Shared {
             .set(registry.uptime().as_secs_f64());
         registry
             .gauge("serve_open_connections")
-            .set(self.connections.load(Ordering::SeqCst) as f64);
+            .set(self.front.connections.load(Ordering::SeqCst) as f64);
         registry
             .gauge("serve_active_jobs")
             .set(self.engine.active_jobs() as f64);
@@ -462,10 +449,9 @@ impl Shared {
     fn take_sample(&self) {
         self.refresh_gauges();
         let breach = {
-            let mut history = self.history.lock().expect("history lock poisoned");
+            let mut history = relock(&self.history);
             history.sample(&self.registry);
-            let mut slo = self.slo.lock().expect("slo lock poisoned");
-            slo.evaluate(&history, &self.registry)
+            relock(&self.slo).evaluate(&history, &self.registry)
         };
         if breach {
             self.slo_breach_ticks.fetch_add(1, Ordering::Relaxed);
@@ -478,7 +464,7 @@ impl Shared {
         loop {
             let mut slept = Duration::ZERO;
             while slept < self.sample_interval {
-                if self.shutdown.load(Ordering::SeqCst) {
+                if self.front.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
                 let nap = (self.sample_interval - slept).min(Duration::from_millis(5));
@@ -523,6 +509,7 @@ impl Server {
         }
         let threads = config.threads.max(1);
         let registry = Registry::new();
+        let front = Front::new(config.max_connections, &registry);
         let metrics = ServeMetrics::register(&registry);
         let trace = match &config.trace_log {
             Some(path) => Some(Mutex::new(TraceLog::create(
@@ -548,12 +535,9 @@ impl Server {
             cache_file,
             flush_lock: Mutex::new(()),
             persisted: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
+            front,
             threads,
             loaded_from_disk,
-            connections: AtomicUsize::new(0),
-            max_connections: config.max_connections.max(1),
             registry,
             metrics,
             trace,
@@ -596,9 +580,6 @@ impl Server {
     /// Fatal listener failures and the final cache flush. Per-connection
     /// I/O errors only terminate that connection.
     pub fn run(self) -> std::io::Result<ServerReport> {
-        // Poll-accept so the loop can observe the shutdown flag; 5 ms
-        // keeps idle CPU at noise level while staying prompt.
-        self.listener.set_nonblocking(true)?;
         let shared = &self.shared;
         std::thread::scope(|scope| -> std::io::Result<()> {
             for idx in 0..shared.threads {
@@ -611,59 +592,25 @@ impl Server {
                 let s = Arc::clone(shared);
                 scope.spawn(move || s.sampler_loop());
             }
-            let mut outcome = Ok(());
-            while !shared.shutdown.load(Ordering::SeqCst) {
-                match self.listener.accept() {
-                    Ok((stream, _addr)) => {
-                        // Replies are small and a pipelining client
-                        // stuffs many requests down before reading:
-                        // without TCP_NODELAY, Nagle holds each reply
-                        // for the peer's delayed ACK once the lockstep
-                        // request/reply rhythm is gone.
-                        stream.set_nodelay(true).ok();
-                        // The connection bound is enforced here, at the
-                        // accept loop: beyond it the daemon answers one
-                        // `busy` line and closes instead of accumulating
-                        // session threads for idle sockets.
-                        let open = shared.connections.load(Ordering::SeqCst);
-                        if open >= shared.max_connections {
-                            shared.metrics.refused.inc();
-                            refuse_connection(stream, open, shared.max_connections);
-                            continue;
-                        }
-                        shared.connections.fetch_add(1, Ordering::SeqCst);
-                        let s = Arc::clone(shared);
-                        // Detached on purpose: a session blocked on an
-                        // idle client must not block shutdown. Sessions
-                        // hold only an Arc and die with the process (or
-                        // return Busy/ShuttingDown after drain).
-                        std::thread::spawn(move || {
-                            serve_connection(stream, &s);
-                            s.connections.fetch_sub(1, Ordering::SeqCst);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(e) => {
-                        outcome = Err(e);
-                        break;
-                    }
-                }
-            }
+            // Sessions hold only an Arc and die with the process (or
+            // return Busy/ShuttingDown after drain).
+            let s = Arc::clone(shared);
+            let outcome = shared.front.accept_loop(&self.listener, move |stream| {
+                front::serve_session(stream, &s.front, |line, sink| serve_line(line, &s, sink));
+            });
             // Wake the pool so the scope can join the drained workers —
             // on the clean path admission is already closed (the
             // shutdown handler did it before setting the flag), and on
             // the error path this is what closes it. The flag is also
             // (re)set here so the sampler thread exits on the error
             // path, where no shutdown request ever stored it.
-            shared.shutdown.store(true, Ordering::SeqCst);
+            shared.front.shutdown.store(true, Ordering::SeqCst);
             shared.engine.begin_shutdown();
             outcome
         })?;
         shared.flush()?;
         Ok(ServerReport {
-            requests: shared.requests.load(Ordering::Relaxed),
+            requests: shared.front.requests.load(Ordering::Relaxed),
             loaded_from_disk: shared.loaded_from_disk,
             persisted: shared.persisted.load(Ordering::Relaxed) as usize,
             cached_points: shared.cache.len(),
@@ -671,175 +618,32 @@ impl Server {
     }
 }
 
-/// Longest request line the daemon will buffer. Real requests are a
-/// few hundred bytes (the largest is a sweep spec with explicit axis
-/// lists); anything bigger is a hostile or broken client, and an
-/// unbounded `read_line` would buffer it into daemon memory wholesale.
-const MAX_REQUEST_BYTES: u64 = 1 << 20;
-
-/// The line writer every response line of a session goes through: one
-/// `\n`-terminated JSON object per line, encoded into one buffer the
-/// sink keeps for the whole connection, so a reply allocates nothing.
-/// [`LineSink::send`] flushes immediately. For single-reply requests
-/// the flush is merely prompt; for the streaming requests
-/// (`tune_frontier`, `frontier` with `"stream":true`, `watch`) it is
-/// the contract — each result line reaches the client as it is
-/// produced, before the next step/entry/sample is computed.
-pub struct LineSink<'a> {
-    writer: &'a mut dyn Write,
-    req_id: Option<u64>,
-    wire: String,
+/// Locks a daemon mutex, recovering the data if a panicking holder
+/// poisoned it. Every update of the guarded state leaves it valid — the
+/// flush token is `()`, and a sampler tick that panics midway at worst
+/// loses its own sample — so one panic must not take `stats`,
+/// `metrics_history`, `watch` or the sampler down with it.
+fn relock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
+    lock.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-impl<'a> LineSink<'a> {
-    /// Wraps a transport writer (a `BufWriter<TcpStream>` in the
-    /// daemon; anything `Write` in tests).
-    pub fn new(writer: &'a mut dyn Write) -> Self {
-        LineSink {
-            writer,
-            req_id: None,
-            wire: String::new(),
-        }
-    }
-
-    /// Stamps every following line with the pipelining id of the
-    /// request being answered (`None` leaves the wire unchanged).
-    /// Streamed lines carry the id too — that is what lets a
-    /// pipelining client attribute every line of an interleaved session
-    /// to the request that produced it.
-    pub fn set_req_id(&mut self, req_id: Option<u64>) {
-        self.req_id = req_id;
-    }
-
-    /// Writes one response line into the transport's buffer without
-    /// flushing it.
-    ///
-    /// # Errors
-    ///
-    /// The underlying transport failure — the peer is gone; abandon
-    /// the session.
-    pub(crate) fn write(&mut self, response: &Response) -> std::io::Result<()> {
-        self.wire.clear();
-        response.encode_into(self.req_id, &mut self.wire);
-        self.wire.push('\n');
-        self.writer.write_all(self.wire.as_bytes())
-    }
-
-    /// Flushes the buffered lines to the peer.
-    ///
-    /// # Errors
-    ///
-    /// As [`LineSink::write`].
-    pub(crate) fn flush(&mut self) -> std::io::Result<()> {
-        self.writer.flush()
-    }
-
-    /// Writes one response line and flushes it to the peer.
-    ///
-    /// # Errors
-    ///
-    /// The underlying transport failure — the peer is gone; abandon
-    /// the session.
-    pub fn send(&mut self, response: &Response) -> std::io::Result<()> {
-        self.write(response)?;
-        self.flush()
-    }
-}
-
-/// How one request left the session: a normal reply (plus whether the
-/// session must stop afterwards), or a streamed response that already
-/// went through the sink (plus whether the sink died mid-stream).
-enum RequestOutcome {
-    Reply(Box<Response>, bool),
-    Streamed { sink_dead: bool },
-}
-
-impl RequestOutcome {
-    /// A single-reply outcome (boxed so the streamed variant stays
-    /// pointer-sized).
-    fn reply(response: Response, stop_after_reply: bool) -> Self {
-        RequestOutcome::Reply(Box::new(response), stop_after_reply)
-    }
-}
-
-/// Answers one `busy` line on a just-accepted socket and drops it —
-/// the connection-bound refusal path.
-fn refuse_connection(stream: TcpStream, active: usize, capacity: usize) {
-    let mut writer = BufWriter::new(stream);
-    let _ = LineSink::new(&mut writer).send(&Response::Busy { active, capacity });
-}
-
-/// One session: line in, line out, until EOF or shutdown.
-fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    let Ok(peer_read) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(peer_read);
-    let mut writer = BufWriter::new(stream);
-    let mut sink = LineSink::new(&mut writer);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        sink.set_req_id(None);
-        match (&mut reader).take(MAX_REQUEST_BYTES).read_line(&mut line) {
-            Ok(0) => return,  // clean EOF
-            Err(_) => return, // peer went away
-            Ok(_) if line.len() as u64 >= MAX_REQUEST_BYTES && !line.ends_with('\n') => {
-                // Oversized request: answer once, drop the connection
-                // (the rest of the line cannot be resynchronized).
-                let _ = sink.send(&Response::Error {
-                    message: format!("request exceeds {MAX_REQUEST_BYTES} bytes"),
-                });
-                return;
-            }
-            Ok(_) => {}
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        shared.requests.fetch_add(1, Ordering::Relaxed);
-        let received = Instant::now();
-        shared.metrics.inflight.inc();
-        let mut span = RequestSpan::new(shared.next_request_id.fetch_add(1, Ordering::Relaxed));
-        let outcome = handle_request(trimmed, shared, &mut sink, &mut span);
-        shared.metrics.inflight.dec();
-        let status = match &outcome {
-            RequestOutcome::Reply(response, _) => match **response {
-                Response::Error { .. } => "error",
-                Response::Busy { .. } => "busy",
-                _ => "ok",
-            },
-            RequestOutcome::Streamed { sink_dead: false } => "ok",
-            RequestOutcome::Streamed { sink_dead: true } => "disconnect",
-        };
-        record_span(shared, &span, status, received, received.elapsed());
-        match outcome {
-            RequestOutcome::Reply(response, stop_after_reply) => {
-                if sink.write(&response).is_err() {
-                    return;
-                }
-                // Pipelining: when the client has already buffered the
-                // next request line, hold the flush so a whole burst of
-                // replies coalesces into one write syscall (and fewer
-                // packets). A lockstep client always sees an immediate
-                // flush — its next line cannot be buffered yet.
-                let more_pending = reader.buffer().contains(&b'\n');
-                if (!more_pending || stop_after_reply) && sink.flush().is_err() {
-                    return;
-                }
-                if stop_after_reply {
-                    shared.shutdown.store(true, Ordering::SeqCst);
-                    return;
-                }
-            }
-            RequestOutcome::Streamed { sink_dead } => {
-                if sink_dead {
-                    return;
-                }
-            }
-        }
-    }
+/// The daemon's per-request handler: one request line through
+/// [`handle_request`] under a fresh [`RequestSpan`], folded into the
+/// metrics, the span ring and the trace log.
+fn serve_line(line: &str, shared: &Arc<Shared>, sink: &mut LineSink<'_>) -> RequestOutcome {
+    let received = Instant::now();
+    shared.metrics.inflight.inc();
+    let mut span = RequestSpan::new(shared.next_request_id.fetch_add(1, Ordering::Relaxed));
+    let outcome = handle_request(line, shared, sink, &mut span);
+    shared.metrics.inflight.dec();
+    record_span(
+        shared,
+        &span,
+        outcome.status(),
+        received,
+        received.elapsed(),
+    );
+    outcome
 }
 
 /// Folds one finished request's span into the registry (per-type
@@ -989,12 +793,7 @@ fn handle_request(
         Err(e) => {
             span.parse = parse_started.elapsed();
             span.kind = "parse_error";
-            return RequestOutcome::reply(
-                Response::Error {
-                    message: e.to_string(),
-                },
-                false,
-            );
+            return RequestOutcome::reply(Response::error(e), false);
         }
     };
     span.parse = parse_started.elapsed();
@@ -1055,12 +854,7 @@ fn handle_request(
         }
         Request::Sweep(spec) => {
             if let Err(e) = spec.validate() {
-                return RequestOutcome::reply(
-                    Response::Error {
-                        message: e.to_string(),
-                    },
-                    false,
-                );
+                return RequestOutcome::reply(Response::error(e), false);
             }
             // Partitioned sweeps (`spec.part` set by a cluster
             // coordinator) walk the same full grid but keep only the
@@ -1121,27 +915,12 @@ fn handle_request(
             let response = match shared.engine.admit() {
                 Err(e) => submit_error_response(e),
                 Ok(slot) => {
-                    let mut evaluator =
-                        SchedulerEvaluator::new(&shared.engine, &slot, span.trace_ref());
-                    let result = tune(&request, &mut evaluator);
-                    evaluator.fold_into(span);
-                    match result {
-                        Err(e) => Response::Error {
-                            message: e.to_string(),
-                        },
-                        Ok(report) => {
-                            span.points = report.evaluations;
-                            Response::Tune(TuneSummary {
-                                best: report.best,
-                                evaluations: report.evaluations,
-                                cache_hits: report.cache_hits,
-                                cache_misses: report.cache_misses,
-                                rounds: report.rounds,
-                                exhaustive_points: report.exhaustive_points,
-                                degraded: false,
-                            })
-                        }
+                    let result = tune(&request, &mut slot_rounds(shared, &slot, span));
+                    let response = front::tune_reply(result, false);
+                    if let Response::Tune(summary) = &response {
+                        span.points = summary.evaluations;
                     }
+                    response
                 }
             };
             timed_flush(shared, span);
@@ -1155,50 +934,13 @@ fn handle_request(
             let outcome = match shared.engine.admit() {
                 Err(e) => RequestOutcome::reply(submit_error_response(e), false),
                 Ok(slot) => {
-                    let mut evaluator =
-                        SchedulerEvaluator::new(&shared.engine, &slot, span.trace_ref());
-                    let steps = request.sweep.values.len();
-                    let mut sink_dead = false;
-                    let result = frontier::tune_frontier(&request, &mut evaluator, |i, step| {
-                        let line = Response::TuneFrontierStep(FrontierStepSummary {
-                            step: i,
-                            steps,
-                            result: step.clone(),
-                        });
-                        sink.send(&line).map_err(|_| {
-                            sink_dead = true;
-                            TuneError::Backend("client closed the stream".to_owned())
-                        })
-                    });
-                    evaluator.fold_into(span);
-                    match result {
-                        Ok(report) => {
-                            span.points = report.evaluations;
-                            let done = Response::TuneFrontierDone(FrontierDoneSummary {
-                                steps: report.steps.len(),
-                                frontier: report.frontier,
-                                evaluations: report.evaluations,
-                                standalone_evaluations: report.standalone_evaluations,
-                                cache_hits: report.cache_hits,
-                                cache_misses: report.cache_misses,
-                                exhaustive_points: report.exhaustive_points,
-                            });
-                            sink_dead = sink_dead || sink.send(&done).is_err();
-                            RequestOutcome::Streamed { sink_dead }
-                        }
-                        // A pre-stream spec error is an ordinary error
-                        // reply; a mid-stream failure terminates the
-                        // stream with one error line (the framing rule
-                        // allows it in place of `done`).
-                        Err(e) if !sink_dead => {
-                            let error = Response::Error {
-                                message: e.to_string(),
-                            };
-                            let sink_dead = sink.send(&error).is_err();
-                            RequestOutcome::Streamed { sink_dead }
-                        }
-                        Err(_) => RequestOutcome::Streamed { sink_dead: true },
-                    }
+                    let (outcome, evaluations) = front::stream_tune_frontier(
+                        &request,
+                        &mut slot_rounds(shared, &slot, span),
+                        sink,
+                    );
+                    span.points = evaluations;
+                    outcome
                 }
             };
             timed_flush(shared, span);
@@ -1214,50 +956,7 @@ fn handle_request(
                     Some(FrontierEntry { point, result })
                 })
                 .collect();
-            let objectives: Vec<(usize, pareto::Objectives)> = feasible
-                .iter()
-                .enumerate()
-                .map(|(i, e)| (i, pareto::Objectives::from(&e.result)))
-                .collect();
-            let keep = if dims == 2 {
-                pareto::frontier_2d(&objectives)
-            } else if sqnr {
-                pareto::frontier_accuracy(&objectives)
-            } else {
-                pareto::frontier_3d(&objectives)
-            };
-            if stream {
-                // The streaming variant: one entry per line through the
-                // shared sink, then the terminal line. For very large
-                // caches the client starts consuming the frontier while
-                // the daemon is still writing it.
-                let total = keep.len();
-                for i in keep {
-                    let line = Response::FrontierStreamEntry {
-                        entry: feasible[i].clone(),
-                    };
-                    if sink.send(&line).is_err() {
-                        return RequestOutcome::Streamed { sink_dead: true };
-                    }
-                }
-                let done = Response::FrontierStreamDone {
-                    dims,
-                    entries: total,
-                    degraded: false,
-                };
-                return RequestOutcome::Streamed {
-                    sink_dead: sink.send(&done).is_err(),
-                };
-            }
-            let entries = keep.into_iter().map(|i| feasible[i].clone()).collect();
-            RequestOutcome::reply(
-                Response::Frontier {
-                    dims,
-                    entries,
-                    degraded: false,
-                },
-                false,
-            )
+            front::frontier_reply(&feasible, dims, sqnr, stream, false, sink)
         }
         Request::Stats => {
             // A scrape-adjacent path: refresh the gauges here too, so a
@@ -1271,20 +970,20 @@ fn handle_request(
                     hits: stats.hits,
                     misses: stats.misses,
                     hit_rate: stats.hit_rate(),
-                    requests: shared.requests.load(Ordering::Relaxed),
+                    requests: shared.front.requests.load(Ordering::Relaxed),
                     active_jobs: shared.engine.active_jobs(),
                     queue_capacity: shared.engine.capacity(),
-                    open_connections: shared.connections.load(Ordering::SeqCst),
-                    max_connections: shared.max_connections,
+                    open_connections: shared.front.connections.load(Ordering::SeqCst),
+                    max_connections: shared.front.max_connections,
                     threads: shared.threads,
                     loaded_from_disk: shared.loaded_from_disk,
                     persistent: shared.cache_file.is_some(),
                     uptime_s: shared.registry.uptime().as_secs_f64(),
-                    // Includes this stats request itself — the session
-                    // loop holds the in-flight gauge across the handler.
+                    // Includes this stats request itself — `serve_line`
+                    // holds the in-flight gauge across the handler.
                     inflight_requests: shared.metrics.inflight.get().max(0.0) as usize,
                     queue_depth: shared.engine.queue_depth(),
-                    slos: shared.slo.lock().expect("slo lock poisoned").len(),
+                    slos: relock(&shared.slo).len(),
                     slo_breach_ticks: shared.slo_breach_ticks.load(Ordering::Relaxed),
                     shards: Vec::new(),
                 }),
@@ -1307,7 +1006,7 @@ fn handle_request(
             RequestOutcome::reply(Response::Metrics { snapshot }, false)
         }
         Request::MetricsHistory => {
-            let history = shared.history.lock().expect("history lock poisoned");
+            let history = relock(&shared.history);
             RequestOutcome::reply(
                 Response::MetricsHistory(Box::new(build_history(&history))),
                 false,
@@ -1319,11 +1018,12 @@ fn handle_request(
             // pushed as the tick lands. No admission slot — a watcher
             // only reads the history ring, and a dashboard must not
             // occupy capacity a sweep could use.
-            let mut last_seq = shared.history.lock().expect("history lock poisoned").seq();
+            let mut last_seq = relock(&shared.history).seq();
             let mut sent: u64 = 0;
-            while (samples == 0 || sent < samples) && !shared.shutdown.load(Ordering::SeqCst) {
+            let shutdown = &shared.front.shutdown;
+            while (samples == 0 || sent < samples) && !shutdown.load(Ordering::SeqCst) {
                 let next = {
-                    let history = shared.history.lock().expect("history lock poisoned");
+                    let history = relock(&shared.history);
                     if history.seq() > last_seq {
                         last_seq = history.seq();
                         Some(build_watch_sample(&history, shared))
@@ -1360,14 +1060,11 @@ fn handle_request(
         }
         Request::Dump => {
             let response = match &shared.flight_path {
-                None => Response::Error {
-                    message: "flight recorder disabled: start the daemon with --trace-log"
-                        .to_owned(),
-                },
+                None => {
+                    Response::error("flight recorder disabled: start the daemon with --trace-log")
+                }
                 Some(path) => match write_flight_file(path, shared) {
-                    Err(e) => Response::Error {
-                        message: format!("flight dump failed: {e}"),
-                    },
+                    Err(e) => Response::error(format!("flight dump failed: {e}")),
                     Ok(spans) => Response::Dump {
                         path: path.display().to_string(),
                         spans,
@@ -1450,7 +1147,7 @@ fn build_watch_sample(history: &TimeSeries, shared: &Shared) -> WatchSample {
         active_jobs: shared.engine.active_jobs() as u64,
         queue_depth: shared.engine.queue_depth() as u64,
         cache_hit_rate: shared.cache.stats().hit_rate(),
-        requests_total: shared.requests.load(Ordering::Relaxed),
+        requests_total: shared.front.requests.load(Ordering::Relaxed),
         queue_wait_p99_us: window
             .histogram_family("serve_queue_wait_ns")
             .quantile(0.99)
@@ -1474,11 +1171,7 @@ fn run_job(
     let job = match shared.engine.submit_with(points, None, span.trace_ref()) {
         Err(e) => return submit_error_response(e),
         Ok(handle) => match handle.wait() {
-            Err(e) => {
-                return Response::Error {
-                    message: e.to_string(),
-                }
-            }
+            Err(e) => return Response::error(e),
             Ok(job) => job,
         },
     };
@@ -1495,9 +1188,7 @@ fn run_job(
 fn submit_error_response(e: SubmitError) -> Response {
     match e {
         SubmitError::Busy { active, capacity } => Response::Busy { active, capacity },
-        SubmitError::ShuttingDown => Response::Error {
-            message: "server is shutting down".to_owned(),
-        },
+        SubmitError::ShuttingDown => Response::error("server is shutting down"),
     }
 }
 
@@ -1576,76 +1267,37 @@ fn write_flight_file(path: &Path, shared: &Arc<Shared>) -> std::io::Result<usize
     Ok(records.len())
 }
 
-/// The daemon-side tuner evaluator: each round becomes one engine
-/// job inside the tune's admission slot, so candidate evaluations share
-/// the cache with (and interleave fairly against) every concurrent
-/// sweep. Hit/miss accounting uses the per-job counters — global cache
-/// deltas would count other clients' traffic.
-struct SchedulerEvaluator<'a> {
-    engine: &'a Engine,
+/// The daemon's tuner evaluator: each round becomes one engine job
+/// inside the tune's admission slot, so candidate evaluations share the
+/// cache with (and interleave fairly against) every concurrent sweep.
+/// Each finished round is folded into the request's `span` (per-job
+/// hit/miss counters — global cache deltas would count other clients'
+/// traffic) and, for a traced request, recorded as a `tune_round` span
+/// under its root; the round's job carries the trace so worker batch
+/// spans attach to it too.
+fn slot_rounds<'a>(
+    shared: &'a Shared,
     slot: &'a AdmissionSlot<'a>,
-    /// The owning request's trace: each round records a `tune_round`
-    /// span under the request's root, and the ref rides on the round's
-    /// engine job so worker batch spans attach to the same trace.
-    trace: Option<TraceRef>,
-    hits: u64,
-    misses: u64,
-    /// Queue wait summed over this request's rounds (each round is one
-    /// engine job, so a tune's span reports how long its rounds
-    /// collectively sat behind other traffic).
-    queue_wait: Duration,
-    /// Execute time summed over this request's rounds.
-    execute: Duration,
-    /// Rounds run (engine jobs submitted and waited on).
-    jobs: u64,
-}
-
-impl<'a> SchedulerEvaluator<'a> {
-    fn new(engine: &'a Engine, slot: &'a AdmissionSlot<'a>, trace: Option<TraceRef>) -> Self {
-        SchedulerEvaluator {
-            engine,
-            slot,
-            trace,
-            hits: 0,
-            misses: 0,
-            queue_wait: Duration::ZERO,
-            execute: Duration::ZERO,
-            jobs: 0,
-        }
-    }
-
-    /// Copies the accumulated per-round timings and cache counters
-    /// into the request's span once the tune/sweep is over.
-    fn fold_into(&self, span: &mut RequestSpan) {
-        span.queue_wait += self.queue_wait;
-        span.execute += self.execute;
-        span.cache_hits += self.hits;
-        span.cache_misses += self.misses;
-        span.jobs += self.jobs;
-    }
-}
-
-impl MixEvaluator for SchedulerEvaluator<'_> {
-    fn evaluate(
-        &mut self,
-        mix: &WorkloadMix,
-        bases: &[DesignPoint],
-    ) -> Result<Vec<MixOutcome>, TuneError> {
+    span: &'a mut RequestSpan,
+) -> BatchFnEvaluator<impl FnMut(Vec<DesignPoint>) -> RoundResult + 'a> {
+    let trace = span.trace_ref();
+    BatchFnEvaluator::new(move |points: Vec<DesignPoint>| {
         let round_started = Instant::now();
-        let points = evaluator::expand(mix, bases);
         let round_points = points.len();
         // Inside a held slot the only refusal is the shutdown drain.
-        let handle = self
+        let job = shared
             .engine
-            .submit_with(points, Some(self.slot), self.trace)
-            .map_err(|_| TuneError::Backend("server is shutting down".to_owned()))?;
-        let job = handle.wait().map_err(TuneError::Eval)?;
-        self.hits += job.cache_hits;
-        self.misses += job.cache_misses;
-        self.queue_wait += job.queue_wait;
-        self.execute += job.execute;
-        self.jobs += 1;
-        if let Some(t) = self.trace {
+            .submit_with(points, Some(slot), trace)
+            .map_err(|_| TuneError::Backend("server is shutting down".to_owned()))?
+            .wait()
+            .map_err(TuneError::Eval)?;
+        span.absorb_job(
+            job.queue_wait,
+            job.execute,
+            job.cache_hits,
+            job.cache_misses,
+        );
+        if let Some(t) = trace {
             obs_trace::spans().record(&obs_trace::Span {
                 trace_id: t.trace_id,
                 span_id: obs_trace::next_span_id(),
@@ -1657,12 +1309,8 @@ impl MixEvaluator for SchedulerEvaluator<'_> {
                 points: round_points.min(u32::MAX as usize) as u32,
             });
         }
-        Ok(evaluator::collapse(mix, bases, &job.outcomes))
-    }
-
-    fn counters(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
+        Ok((job.outcomes, job.cache_hits, job.cache_misses))
+    })
 }
 
 #[cfg(test)]
@@ -1737,29 +1385,10 @@ mod tests {
         )
     }
 
-    /// Drives one request line through the same span + record path the
-    /// session loop uses, returning the outcome.
+    /// Drives one request line through the daemon's session handler
+    /// (span + record path included), returning the outcome.
     fn handle_instrumented(line: &str, shared: &Arc<Shared>) -> RequestOutcome {
-        let received = Instant::now();
-        let mut span = RequestSpan::new(shared.next_request_id.fetch_add(1, Ordering::Relaxed));
-        let mut probe = Probe::new(shared);
-        let outcome = handle_request(line, shared, &mut LineSink::new(&mut probe), &mut span);
-        let status = match &outcome {
-            RequestOutcome::Reply(response, _) => match **response {
-                Response::Error { .. } => "error",
-                Response::Busy { .. } => "busy",
-                _ => "ok",
-            },
-            RequestOutcome::Streamed { sink_dead } => {
-                if *sink_dead {
-                    "disconnect"
-                } else {
-                    "ok"
-                }
-            }
-        };
-        record_span(shared, &span, status, received, received.elapsed());
-        outcome
+        serve_line(line, shared, &mut LineSink::new(&mut Probe::new(shared)))
     }
 
     #[test]
@@ -1958,6 +1587,31 @@ mod tests {
     }
 
     #[test]
+    fn a_tune_frontier_failing_before_its_first_step_is_an_ordinary_error_reply() {
+        let server = Server::bind(ServerConfig {
+            threads: 2,
+            ..ServerConfig::default()
+        })
+        .expect("bind");
+        let shared = Arc::clone(&server.shared);
+        // The swept axis is also fixed: the tuner refuses the spec
+        // before any step runs, so nothing has been streamed yet.
+        let request = r#"{"type":"tune_frontier","budget":{"max_system_mw":500},"sweep":{"axis":"max_system_mw","values":[450,500]}}"#;
+        let mut probe = Probe::new(&shared);
+        let outcome = with_workers(&shared, || handle_one(request, &shared, &mut probe));
+        assert_eq!(outcome.status(), "error");
+        match outcome {
+            RequestOutcome::Reply(r, false) => match *r {
+                Response::Error { message } => assert!(message.contains("swept"), "{message}"),
+                other => panic!("expected an error reply, got {other:?}"),
+            },
+            _ => panic!("expected a single reply"),
+        }
+        assert!(probe.lines.is_empty(), "{:?}", probe.lines);
+        assert_eq!(shared.engine.active_jobs(), 0, "slot released");
+    }
+
+    #[test]
     fn streaming_frontier_shares_the_line_sink_framing() {
         let server = Server::bind(ServerConfig {
             threads: 2,
@@ -2092,6 +1746,59 @@ mod tests {
             .expect("eval row in the first sample");
         assert_eq!(eval_row.requests, 3);
         assert!(eval_row.p99_us > 0.0 && eval_row.p99_us >= eval_row.p50_us);
+    }
+
+    #[test]
+    fn a_panic_under_the_history_lock_leaves_stats_history_and_watch_answering() {
+        let server = Server::bind(ServerConfig {
+            threads: 2,
+            ..ServerConfig::default()
+        })
+        .expect("bind");
+        let shared = Arc::clone(&server.shared);
+        let holder = Arc::clone(&shared);
+        let panicked = std::thread::spawn(move || {
+            let _history = holder.history.lock().expect("history lock");
+            let _slo = holder.slo.lock().expect("slo lock");
+            panic!("a panic while holding the history and SLO locks");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(shared.history.is_poisoned() && shared.slo.is_poisoned());
+        assert!(matches!(
+            handle_instrumented(r#"{"type":"stats"}"#, &shared),
+            RequestOutcome::Reply(r, false) if matches!(*r, Response::Stats(_))
+        ));
+        assert!(matches!(
+            handle_instrumented(r#"{"type":"metrics_history"}"#, &shared),
+            RequestOutcome::Reply(r, false) if matches!(*r, Response::MetricsHistory(_))
+        ));
+        let probe = std::thread::scope(|s| {
+            let watcher = s.spawn(|| {
+                let mut probe = Probe::new(&shared);
+                let outcome = handle_one(r#"{"type":"watch","samples":1}"#, &shared, &mut probe);
+                assert!(matches!(
+                    outcome,
+                    RequestOutcome::Streamed { sink_dead: false }
+                ));
+                probe
+            });
+            // The sampler ticks through the poisoned locks too.
+            while !watcher.is_finished() {
+                shared.take_sample();
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            watcher.join().expect("watcher thread")
+        });
+        assert_eq!(probe.lines.len(), 2, "{:?}", probe.lines);
+        assert!(matches!(
+            Response::decode(&probe.lines[0]).expect("sample line decodes"),
+            Response::WatchSample(_)
+        ));
+        assert_eq!(
+            Response::decode(&probe.lines[1]).expect("done line decodes"),
+            Response::WatchDone { samples: 1 }
+        );
     }
 
     #[test]

@@ -130,13 +130,14 @@ impl MixEvaluator for CacheEvaluator<'_> {
     }
 }
 
-/// An evaluator over any batch-evaluation backend: the closure takes a
-/// round's expanded point list and returns `(outcomes, hits, misses)`
-/// with outcomes aligned to the points. [`expand`]/[`collapse`] are
-/// handled here, so a backend only has to evaluate a flat point list —
-/// this is how the cluster coordinator's scatter-gather (partition by
-/// content hash, fan out, reassemble in order) plugs the tuner in
-/// without the tuner knowing about shards.
+/// An evaluator over any batch-evaluation backend: the closure takes
+/// ownership of a round's expanded point list and returns `(outcomes,
+/// hits, misses)` with outcomes aligned to the points. [`expand`]/
+/// [`collapse`] are handled here, so a backend only has to evaluate a
+/// flat point list — this is how the serving daemon (one engine job per
+/// round) and the cluster coordinator's scatter-gather (partition by
+/// content hash, fan out, reassemble in order) plug the tuner in
+/// without the tuner knowing about engines or shards.
 pub struct BatchFnEvaluator<F> {
     eval: F,
     hits: u64,
@@ -145,7 +146,7 @@ pub struct BatchFnEvaluator<F> {
 
 impl<F> BatchFnEvaluator<F>
 where
-    F: FnMut(&[DesignPoint]) -> Result<(Vec<chain_nn_dse::PointOutcome>, u64, u64), TuneError>,
+    F: FnMut(Vec<DesignPoint>) -> Result<(Vec<chain_nn_dse::PointOutcome>, u64, u64), TuneError>,
 {
     /// An evaluator delegating each round's flat point list to `eval`.
     pub fn new(eval: F) -> Self {
@@ -159,7 +160,7 @@ where
 
 impl<F> MixEvaluator for BatchFnEvaluator<F>
 where
-    F: FnMut(&[DesignPoint]) -> Result<(Vec<chain_nn_dse::PointOutcome>, u64, u64), TuneError>,
+    F: FnMut(Vec<DesignPoint>) -> Result<(Vec<chain_nn_dse::PointOutcome>, u64, u64), TuneError>,
 {
     fn evaluate(
         &mut self,
@@ -167,12 +168,12 @@ where
         bases: &[DesignPoint],
     ) -> Result<Vec<MixOutcome>, TuneError> {
         let points = expand(mix, bases);
-        let (outcomes, hits, misses) = (self.eval)(&points)?;
-        if outcomes.len() != points.len() {
+        let expected = points.len();
+        let (outcomes, hits, misses) = (self.eval)(points)?;
+        if outcomes.len() != expected {
             return Err(TuneError::Backend(format!(
-                "batch backend returned {} outcomes for {} points",
-                outcomes.len(),
-                points.len()
+                "batch backend returned {} outcomes for {expected} points",
+                outcomes.len()
             )));
         }
         self.hits += hits;

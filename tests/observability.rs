@@ -542,6 +542,79 @@ fn propagated_trace_yields_a_nested_span_tree_across_workers() {
     daemon.join().expect("daemon thread");
 }
 
+/// A traced `tune` on a daemon with a trace log: each tuner round is
+/// one engine job, recorded as one `tune_round` span under the
+/// request's root and folded into the request's trace-log line.
+#[test]
+fn traced_tune_records_a_round_span_and_a_job_per_round() {
+    use chain_nn_repro::tuner::{Budget, TuneRequest};
+
+    let dir = std::env::temp_dir().join(format!("chain-nn-obs-tune-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let trace_path: PathBuf = dir.join("trace.jsonl");
+    let (addr, daemon) = start(ServerConfig {
+        threads: 2,
+        trace_log: Some(trace_path.clone()),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr).expect("connect");
+    let request = TuneRequest {
+        budget: Budget {
+            max_system_mw: Some(500.0),
+            ..Budget::default()
+        },
+        ..TuneRequest::default()
+    };
+
+    // The span ring is process-global and bounded: should concurrent
+    // tests in this binary evict this tune's spans before the query,
+    // tune again under a fresh id rather than flake.
+    let mut found = None;
+    for attempt in 0..5u64 {
+        let trace_id = 888_001 + attempt;
+        client.set_trace(Some(TraceContext {
+            id: trace_id,
+            parent: 0,
+        }));
+        let summary = match client.tune(request.clone()).expect("tune round trip") {
+            Response::Tune(summary) => summary,
+            other => panic!("expected a tune reply, got {other:?}"),
+        };
+        let (_, spans) = query_trace(&mut client, trace_id);
+        if spans.iter().any(|s| s.name == "tune") {
+            found = Some((trace_id, summary, spans));
+            break;
+        }
+    }
+    let (trace_id, summary, spans) = found.expect("the tune's spans outlived the query");
+    assert!(summary.rounds > 1, "{summary:?}");
+    let root = spans.iter().find(|s| s.name == "tune").expect("root span");
+    let rounds: Vec<&SpanRecord> = spans.iter().filter(|s| s.name == "tune_round").collect();
+    assert_eq!(rounds.len(), summary.rounds, "{spans:?}");
+    assert!(
+        rounds.iter().all(|r| r.parent_id == root.span_id),
+        "{rounds:?}"
+    );
+    let round_points: u64 = rounds.iter().map(|r| u64::from(r.points)).sum();
+    assert_eq!(round_points, summary.cache_hits + summary.cache_misses);
+
+    let _ = client.shutdown();
+    daemon.join().expect("daemon thread");
+
+    let trace = std::fs::read_to_string(&trace_path).expect("trace file");
+    let tag = format!("\"trace\":{trace_id}");
+    let line = trace
+        .lines()
+        .find(|l| l.contains("\"type\":\"tune\"") && l.contains(&tag))
+        .unwrap_or_else(|| panic!("no trace line for the tune: {trace}"));
+    assert_eq!(trace_field(line, "jobs"), summary.rounds as u64, "{line}");
+    assert!(line.contains("\"status\":\"ok\""), "{line}");
+    for key in ["\"queue_wait_us\":", "\"execute_us\":"] {
+        assert!(line.contains(key), "{line}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Satellite: scrape gauges must be fresh on the `metrics` request path
 /// even when the sampler will not tick for an hour.
 #[test]

@@ -6,6 +6,7 @@
 use std::path::PathBuf;
 
 use chain_nn_repro::dse::SweepSpec;
+use chain_nn_repro::serve::cluster::{ClusterConfig, Coordinator};
 use chain_nn_repro::serve::protocol::Response;
 use chain_nn_repro::serve::{Client, Server, ServerConfig, ServerReport};
 
@@ -24,6 +25,52 @@ fn start(config: ServerConfig) -> (std::net::SocketAddr, std::thread::JoinHandle
     let addr = server.local_addr().expect("addr");
     let handle = std::thread::spawn(move || server.run().expect("daemon runs"));
     (addr, handle)
+}
+
+/// The two front ends a client can face. They share one accept and
+/// session loop, so the socket-level tests run against both.
+#[derive(Debug, Clone, Copy)]
+enum FrontEnd {
+    Daemon,
+    /// A one-shard coordinator in front of a daemon.
+    Coordinator,
+}
+
+/// Starts `front` with `config`'s connection bound: the daemon runs
+/// `config` itself; a coordinator takes the bound and fronts a shard
+/// running `config` with the default bound. Returns the address clients
+/// connect to and a join that waits for everything started to stop
+/// after a `shutdown` request.
+fn start_front(front: FrontEnd, config: ServerConfig) -> (std::net::SocketAddr, Box<dyn FnOnce()>) {
+    match front {
+        FrontEnd::Daemon => {
+            let (addr, daemon) = start(config);
+            let join = move || {
+                daemon.join().expect("daemon");
+            };
+            (addr, Box::new(join))
+        }
+        FrontEnd::Coordinator => {
+            let max_connections = config.max_connections;
+            let (shard, daemon) = start(ServerConfig {
+                max_connections: ServerConfig::default().max_connections,
+                ..config
+            });
+            let coordinator = Coordinator::bind(ClusterConfig {
+                shards: vec![shard.to_string()],
+                max_connections,
+                ..ClusterConfig::default()
+            })
+            .expect("bind coordinator");
+            let addr = coordinator.local_addr().expect("addr");
+            let run = std::thread::spawn(move || coordinator.run().expect("coordinator runs"));
+            let join = move || {
+                run.join().expect("coordinator");
+                daemon.join().expect("shard");
+            };
+            (addr, Box::new(join))
+        }
+    }
 }
 
 fn sweep_summary(
@@ -454,59 +501,64 @@ fn streaming_frontier_matches_the_aggregate_reply() {
     daemon.join().expect("daemon");
 }
 
-/// Beyond `--max-connections` the daemon answers one `busy` line at the
-/// accept loop and closes, instead of accumulating session threads; a
-/// freed slot is reusable.
+/// Beyond `--max-connections` the daemon (and a coordinator, on its
+/// own bound) answers one `busy` line at the accept loop and closes,
+/// instead of accumulating session threads; a freed slot is reusable.
 #[test]
 fn connection_bound_refuses_with_busy_then_recovers() {
     use std::io::{BufRead, BufReader};
 
-    let (addr, daemon) = start(ServerConfig {
-        threads: 1,
-        max_connections: 2,
-        ..ServerConfig::default()
-    });
+    for front in [FrontEnd::Daemon, FrontEnd::Coordinator] {
+        let (addr, join) = start_front(
+            front,
+            ServerConfig {
+                threads: 1,
+                max_connections: 2,
+                ..ServerConfig::default()
+            },
+        );
 
-    // Two live sessions (a served request proves each is registered).
-    let mut a = Client::connect(addr).expect("connect a");
-    assert!(matches!(a.stats().expect("stats"), Response::Stats(_)));
-    let mut b = Client::connect(addr).expect("connect b");
-    match b.stats().expect("stats") {
-        Response::Stats(stats) => {
-            assert_eq!(stats.open_connections, 2);
-            assert_eq!(stats.max_connections, 2);
+        // Two live sessions (a served request proves each is registered).
+        let mut a = Client::connect(addr).expect("connect a");
+        assert!(matches!(a.stats().expect("stats"), Response::Stats(_)));
+        let mut b = Client::connect(addr).expect("connect b");
+        match b.stats().expect("stats") {
+            Response::Stats(stats) => {
+                assert_eq!(stats.open_connections, 2, "{front:?}");
+                assert_eq!(stats.max_connections, 2, "{front:?}");
+            }
+            other => panic!("expected stats, got {other:?}"),
         }
-        other => panic!("expected stats, got {other:?}"),
-    }
 
-    // The third connection is refused with a busy line, then EOF.
-    let refused = std::net::TcpStream::connect(addr).expect("tcp connect");
-    let mut lines = BufReader::new(refused);
-    let mut line = String::new();
-    lines.read_line(&mut line).expect("busy line");
-    assert!(line.contains("\"ok\":false"), "{line}");
-    assert!(line.contains("\"error\":\"busy\""), "{line}");
-    line.clear();
-    assert_eq!(lines.read_line(&mut line).expect("eof"), 0, "{line}");
+        // The third connection is refused with a busy line, then EOF.
+        let refused = std::net::TcpStream::connect(addr).expect("tcp connect");
+        let mut lines = BufReader::new(refused);
+        let mut line = String::new();
+        lines.read_line(&mut line).expect("busy line");
+        assert!(line.contains("\"ok\":false"), "{front:?}: {line}");
+        assert!(line.contains("\"error\":\"busy\""), "{front:?}: {line}");
+        line.clear();
+        assert_eq!(lines.read_line(&mut line).expect("eof"), 0, "{line}");
 
-    // Dropping a session frees its slot (the daemon notices the EOF
-    // asynchronously, so poll briefly).
-    drop(a);
-    let mut c = None;
-    for _ in 0..200 {
-        let mut candidate = Client::connect(addr).expect("tcp connect");
-        if let Ok(Response::Stats(_)) = candidate.stats() {
-            c = Some(candidate);
-            break;
+        // Dropping a session frees its slot (the front end notices the
+        // EOF asynchronously, so poll briefly).
+        drop(a);
+        let mut c = None;
+        for _ in 0..200 {
+            let mut candidate = Client::connect(addr).expect("tcp connect");
+            if let Ok(Response::Stats(_)) = candidate.stats() {
+                c = Some(candidate);
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(5));
         }
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-    let mut c = c.expect("slot freed after disconnect");
-    assert!(matches!(c.stats().expect("stats"), Response::Stats(_)));
+        let mut c = c.expect("slot freed after disconnect");
+        assert!(matches!(c.stats().expect("stats"), Response::Stats(_)));
 
-    c.shutdown().expect("shutdown");
-    drop(b);
-    daemon.join().expect("daemon");
+        c.shutdown().expect("shutdown");
+        drop(b);
+        join();
+    }
 }
 
 /// `--cache-cap` bounds the in-memory cache even without a cache file:
@@ -545,27 +597,30 @@ fn cache_cap_bounds_memory_without_a_cache_file() {
 }
 
 /// A hostile newline-free stream is refused with one error reply and a
-/// closed connection instead of being buffered into daemon memory.
+/// closed connection instead of being buffered into daemon (or
+/// coordinator) memory.
 #[test]
 fn oversized_request_is_refused_not_buffered() {
     use std::io::{Read, Write};
-    let (addr, daemon) = start(ServerConfig::default());
+    for front in [FrontEnd::Daemon, FrontEnd::Coordinator] {
+        let (addr, join) = start_front(front, ServerConfig::default());
 
-    let mut raw = std::net::TcpStream::connect(addr).expect("connect");
-    // Exactly the daemon's line cap, no newline anywhere: the daemon
-    // consumes it all, refuses, and closes cleanly. (Anything *longer*
-    // is also refused, but the unread remainder then makes the close a
-    // reset rather than a polite FIN.)
-    let blob = vec![b'a'; 1 << 20];
-    raw.write_all(&blob).expect("write blob");
-    let mut reply = String::new();
-    raw.read_to_string(&mut reply).expect("read until close");
-    assert!(reply.contains("\"ok\":false"), "{reply}");
-    assert!(reply.contains("exceeds"), "{reply}");
+        let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+        // Exactly the line cap, no newline anywhere: the front end
+        // consumes it all, refuses, and closes cleanly. (Anything
+        // *longer* is also refused, but the unread remainder then makes
+        // the close a reset rather than a polite FIN.)
+        let blob = vec![b'a'; 1 << 20];
+        raw.write_all(&blob).expect("write blob");
+        let mut reply = String::new();
+        raw.read_to_string(&mut reply).expect("read until close");
+        assert!(reply.contains("\"ok\":false"), "{front:?}: {reply}");
+        assert!(reply.contains("exceeds"), "{front:?}: {reply}");
 
-    // The daemon itself is unharmed.
-    let mut client = Client::connect(addr).expect("connect");
-    assert!(matches!(client.stats().expect("stats"), Response::Stats(_)));
-    client.shutdown().expect("shutdown");
-    daemon.join().expect("daemon");
+        // The front end itself is unharmed.
+        let mut client = Client::connect(addr).expect("connect");
+        assert!(matches!(client.stats().expect("stats"), Response::Stats(_)));
+        client.shutdown().expect("shutdown");
+        join();
+    }
 }
