@@ -7,9 +7,11 @@
 //!
 //! - `JsonWriter` appends compact single-line JSON straight into a
 //!   caller-owned `String`, so a session that reuses one buffer encodes
-//!   a reply without allocating. Floats use the shortest round-trip form
-//!   (Rust's `{}` for `f64`), non-finite floats become `null`, and
-//!   integers above 2^53 are written as the `f64` a JSON number carries.
+//!   a reply without allocating. A `Wire` value writes itself there and
+//!   reads itself back from a [`Node`]. Floats use the shortest
+//!   round-trip form (Rust's `{}` for `f64`), non-finite floats become
+//!   `null`, and integers above 2^53 are written as the `f64` a JSON
+//!   number carries.
 //! - [`Doc::parse`] validates a whole document in one pass into a flat
 //!   tape of tokens. Keys and escape-free strings stay `&str` slices of
 //!   the input; only strings with escapes are allocated. A [`Node`] walks
@@ -26,101 +28,171 @@
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
+use crate::protocol::ProtocolError;
+
 // ---------------------------------------------------------------- writer
 
-/// A value the writer can emit as one JSON value.
-pub(crate) trait WriteJson {
-    /// Appends this value's JSON form to `out`.
-    fn write_json(&self, out: &mut String);
-}
+/// A value with a wire form: one declaration gives both its encoder
+/// and its decoder. Scalars, lists, optional and boxed values are here;
+/// `protocol` declares the message shapes.
+pub(crate) trait Wire {
+    /// Appends this value as one JSON value.
+    fn put(&self, w: &mut JsonWriter<'_>);
 
-impl<T: WriteJson + ?Sized> WriteJson for &T {
-    fn write_json(&self, out: &mut String) {
-        (**self).write_json(out);
+    /// Reads a value from `v`, the value of member `key`. A mistyped
+    /// value is an error naming `key`.
+    fn take(v: Node<'_>, key: &str) -> Result<Self, ProtocolError>
+    where
+        Self: Sized;
+
+    /// Whether a member holding this value is left off the wire.
+    fn absent(&self) -> bool {
+        false
     }
 }
 
-impl WriteJson for str {
-    fn write_json(&self, out: &mut String) {
-        write_escaped(out, self);
+/// The error for member `key` holding something other than `what`.
+pub(crate) fn mistyped(key: &str, what: &str) -> ProtocolError {
+    ProtocolError(format!("'{key}' must be {what}"))
+}
+
+impl Wire for str {
+    fn put(&self, w: &mut JsonWriter<'_>) {
+        w.raw(|out| write_escaped(out, self));
     }
 }
 
-impl WriteJson for String {
-    fn write_json(&self, out: &mut String) {
-        write_escaped(out, self);
+impl Wire for String {
+    fn put(&self, w: &mut JsonWriter<'_>) {
+        self.as_str().put(w);
+    }
+
+    fn take(v: Node<'_>, key: &str) -> Result<String, ProtocolError> {
+        v.as_str()
+            .map(str::to_owned)
+            .ok_or_else(|| mistyped(key, "a string"))
     }
 }
 
-impl WriteJson for bool {
-    fn write_json(&self, out: &mut String) {
-        out.push_str(if *self { "true" } else { "false" });
+impl Wire for bool {
+    fn put(&self, w: &mut JsonWriter<'_>) {
+        w.raw(|out| out.push_str(if *self { "true" } else { "false" }));
+    }
+
+    fn take(v: Node<'_>, key: &str) -> Result<bool, ProtocolError> {
+        v.as_bool().ok_or_else(|| mistyped(key, "a boolean"))
     }
 }
 
-impl WriteJson for f64 {
-    fn write_json(&self, out: &mut String) {
-        let v = *self;
-        if !v.is_finite() {
-            // Not representable in JSON; null is the least-bad lossy
-            // choice and never occurs for protocol data (specs validate
-            // finiteness).
-            out.push_str("null");
-        } else if v.fract() == 0.0 && v.abs() < 1e15 && !(v == 0.0 && v.is_sign_negative()) {
-            // Integral: the same digits `{}` prints, without the float
-            // formatter.
-            if v < 0.0 {
-                out.push('-');
-            }
-            write_digits(out, v.abs() as u64);
-        } else {
-            let _ = write!(out, "{v}");
-        }
+impl Wire for f64 {
+    fn put(&self, w: &mut JsonWriter<'_>) {
+        w.raw(|out| write_f64(out, *self));
+    }
+
+    fn take(v: Node<'_>, key: &str) -> Result<f64, ProtocolError> {
+        v.as_f64().ok_or_else(|| mistyped(key, "a number"))
     }
 }
 
-impl WriteJson for u64 {
-    fn write_json(&self, out: &mut String) {
-        // A JSON number is an f64: beyond 2^53 the wire carries the
-        // nearest double, exactly as an `f64` would print.
-        if *self > 1 << 53 {
-            (*self as f64).write_json(out);
-        } else {
-            write_digits(out, *self);
-        }
-    }
-}
-
-impl<T: WriteJson> WriteJson for [T] {
-    fn write_json(&self, out: &mut String) {
-        out.push('[');
-        for (i, item) in self.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            item.write_json(out);
-        }
-        out.push(']');
-    }
-}
-
-impl<T: WriteJson> WriteJson for Vec<T> {
-    fn write_json(&self, out: &mut String) {
-        self.as_slice().write_json(out);
-    }
-}
-
-macro_rules! write_json_as_u64 {
+macro_rules! wire_int {
     ($($t:ty),+) => {$(
-        impl WriteJson for $t {
-            fn write_json(&self, out: &mut String) {
-                (*self as u64).write_json(out);
+        impl Wire for $t {
+            fn put(&self, w: &mut JsonWriter<'_>) {
+                w.raw(|out| write_u64(out, *self as u64));
+            }
+
+            fn take(v: Node<'_>, key: &str) -> Result<$t, ProtocolError> {
+                let n = v
+                    .as_u64()
+                    .ok_or_else(|| mistyped(key, "a non-negative integer"))?;
+                <$t>::try_from(n)
+                    .map_err(|_| ProtocolError(format!("'{key}' out of range")))
             }
         }
     )+};
 }
 
-write_json_as_u64!(usize, u32, u8);
+wire_int!(u64, usize, u32, u8);
+
+impl<T: Wire> Wire for [T] {
+    fn put(&self, w: &mut JsonWriter<'_>) {
+        w.arr(|w| {
+            for item in self {
+                item.put(w);
+            }
+        });
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut JsonWriter<'_>) {
+        self.as_slice().put(w);
+    }
+
+    fn take(v: Node<'_>, key: &str) -> Result<Vec<T>, ProtocolError> {
+        v.items()
+            .ok_or_else(|| mistyped(key, "an array"))?
+            .map(|item| T::take(item, key))
+            .collect()
+    }
+}
+
+/// Absent when `None`; a present member must hold a `T`.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut JsonWriter<'_>) {
+        if let Some(value) = self {
+            value.put(w);
+        }
+    }
+
+    fn take(v: Node<'_>, key: &str) -> Result<Option<T>, ProtocolError> {
+        T::take(v, key).map(Some)
+    }
+
+    fn absent(&self) -> bool {
+        self.is_none()
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    fn put(&self, w: &mut JsonWriter<'_>) {
+        (**self).put(w);
+    }
+
+    fn take(v: Node<'_>, key: &str) -> Result<Box<T>, ProtocolError> {
+        T::take(v, key).map(Box::new)
+    }
+}
+
+/// Floats use the shortest round-trip form (the digits `{}` prints);
+/// non-finite ones become `null`.
+fn write_f64(out: &mut String, v: f64) {
+    if !v.is_finite() {
+        // Not representable in JSON; null is the least-bad lossy
+        // choice and never occurs for protocol data (specs validate
+        // finiteness).
+        out.push_str("null");
+    } else if v.fract() == 0.0 && v.abs() < 1e15 && !(v == 0.0 && v.is_sign_negative()) {
+        // Integral: the same digits `{}` prints, without the float
+        // formatter.
+        if v < 0.0 {
+            out.push('-');
+        }
+        write_digits(out, v.abs() as u64);
+    } else {
+        let _ = write!(out, "{v}");
+    }
+}
+
+/// A JSON number is an f64: beyond 2^53 the wire carries the nearest
+/// double, exactly as an `f64` would print.
+fn write_u64(out: &mut String, n: u64) {
+    if n > 1 << 53 {
+        write_f64(out, n as f64);
+    } else {
+        write_digits(out, n);
+    }
+}
 
 fn write_digits(out: &mut String, mut n: u64) {
     let mut buf = [0u8; 20];
@@ -200,18 +272,27 @@ impl<'b> JsonWriter<'b> {
         self
     }
 
-    /// Writes one scalar value (an object member's value after
+    /// Writes one value (an object member's value after
     /// [`JsonWriter::key`], or an array element).
-    pub(crate) fn value(&mut self, value: impl WriteJson) -> &mut Self {
-        self.separate();
-        value.write_json(self.out);
-        self.comma = true;
+    pub(crate) fn value<T: Wire + ?Sized>(&mut self, value: &T) -> &mut Self {
+        value.put(self);
         self
     }
 
-    /// Writes one `"key":value` member.
-    pub(crate) fn field(&mut self, key: &str, value: impl WriteJson) -> &mut Self {
-        self.key(key).value(value)
+    /// Writes one `"key":value` member, unless the value is absent.
+    pub(crate) fn field<T: Wire + ?Sized>(&mut self, key: &str, value: &T) -> &mut Self {
+        if !value.absent() {
+            self.key(key).value(value);
+        }
+        self
+    }
+
+    /// Writes one scalar with `write`.
+    fn raw(&mut self, write: impl FnOnce(&mut String)) -> &mut Self {
+        self.separate();
+        write(self.out);
+        self.comma = true;
+        self
     }
 
     /// Writes an object whose members `body` writes.
@@ -698,7 +779,7 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
-    fn encode(value: impl WriteJson) -> String {
+    fn encode<T: Wire + ?Sized>(value: &T) -> String {
         let mut out = String::new();
         JsonWriter::new(&mut out).value(value);
         out
@@ -775,13 +856,13 @@ mod tests {
             -0.0,
             123.456_789_012_345_67,
         ] {
-            let encoded = encode(x);
+            let encoded = encode(&x);
             assert_eq!(encoded, format!("{x}"), "same digits as Display");
             let back = Doc::parse(&encoded).unwrap().root().as_f64().unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{x} re-parsed as {back}");
         }
-        assert_eq!(encode(f64::NAN), "null");
-        assert_eq!(encode(f64::NEG_INFINITY), "null");
+        assert_eq!(encode(&f64::NAN), "null");
+        assert_eq!(encode(&f64::NEG_INFINITY), "null");
     }
 
     #[test]
@@ -798,18 +879,18 @@ mod tests {
                 _ => ((state >> 14) as f64).copysign(if state & 1 == 0 { 1.0 } else { -1.0 }),
             };
             if x.is_finite() {
-                assert_eq!(encode(x), format!("{x}"), "{:#x}", x.to_bits());
+                assert_eq!(encode(&x), format!("{x}"), "{:#x}", x.to_bits());
             }
         }
     }
 
     #[test]
     fn integers_print_as_the_double_the_wire_carries() {
-        assert_eq!(encode(0u64), "0");
-        assert_eq!(encode(576usize), "576");
-        assert_eq!(encode(1u64 << 53), "9007199254740992");
+        assert_eq!(encode(&0u64), "0");
+        assert_eq!(encode(&576usize), "576");
+        assert_eq!(encode(&(1u64 << 53)), "9007199254740992");
         for n in [(1u64 << 53) + 1, 1 << 60, u64::MAX] {
-            assert_eq!(encode(n), format!("{}", n as f64));
+            assert_eq!(encode(&n), format!("{}", n as f64));
         }
     }
 
@@ -885,10 +966,10 @@ mod tests {
     fn writer_separates_members_and_elements() {
         let mut out = String::from("prefix:");
         JsonWriter::new(&mut out).obj(|w| {
-            w.field("a", 1u64).key("b").arr(|w| {
+            w.field("a", &1u64).key("b").arr(|w| {
                 w.obj(|_| {}).arr(|_| {}).value("x");
             });
-            w.field("c\"", false);
+            w.field("c\"", &false);
         });
         assert_eq!(out, r#"prefix:{"a":1,"b":[{},[],"x"],"c\"":false}"#);
     }

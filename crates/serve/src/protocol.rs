@@ -83,7 +83,7 @@ use chain_nn_tuner::{
     StrategyKind, TuneRequest, Tuned,
 };
 
-use crate::json::{Doc, JsonWriter, Node};
+use crate::json::{mistyped, Doc, JsonWriter, Node, Wire};
 
 /// Malformed wire data (unparseable JSON, missing/mistyped fields).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -547,159 +547,300 @@ pub enum Response {
     },
 }
 
-// ---------------------------------------------------------------- fields
+// ---------------------------------------------------------------- codec
 
-/// How a wire field reads from a decoded node. A present field of the
-/// wrong type is an error naming its key.
-trait FromWire: Sized {
-    /// Whether a message without this field is malformed rather than
-    /// defaulted.
-    const REQUIRED: bool = false;
+/// A wire shape whose members continue an enclosing object: a record is
+/// written flat into a reply line, or nested as one member's object.
+pub(crate) trait Record: Sized {
+    /// Writes the members into an open object.
+    fn put_members(&self, w: &mut JsonWriter<'_>);
 
-    fn from_wire(v: Node<'_>, key: &str) -> Result<Self, ProtocolError>;
+    /// Reads the members from the object `v`.
+    fn take_members(v: Node<'_>) -> Result<Self, ProtocolError>;
 }
 
-macro_rules! from_wire_int {
-    ($($t:ty),+) => {$(
-        impl FromWire for $t {
-            fn from_wire(v: Node<'_>, key: &str) -> Result<$t, ProtocolError> {
-                let n = v
-                    .as_u64()
-                    .ok_or_else(|| bad(format!("'{key}' must be a non-negative integer")))?;
-                <$t>::try_from(n).map_err(|_| bad(format!("'{key}' out of range")))
+impl<T: Record> Record for Box<T> {
+    fn put_members(&self, w: &mut JsonWriter<'_>) {
+        (**self).put_members(w);
+    }
+
+    fn take_members(v: Node<'_>) -> Result<Self, ProtocolError> {
+        T::take_members(v).map(Box::new)
+    }
+}
+
+/// `v`, when it is an object.
+fn object<'d>(v: Node<'d>, key: &str) -> Result<Node<'d>, ProtocolError> {
+    if v.is_obj() {
+        Ok(v)
+    } else {
+        Err(mistyped(key, "an object"))
+    }
+}
+
+fn missing(key: &str) -> ProtocolError {
+    bad(format!("missing '{key}'"))
+}
+
+/// The value of member `key`, which must be present.
+fn present<'d>(v: Node<'d>, key: &str) -> Result<Node<'d>, ProtocolError> {
+    v.get(key).ok_or_else(|| missing(key))
+}
+
+/// The string member `key`, which must be present; borrowed, as the
+/// heads of lines and metric kinds are only matched on.
+fn tag<'d>(v: Node<'d>, key: &str) -> Result<&'d str, ProtocolError> {
+    present(v, key)?
+        .as_str()
+        .ok_or_else(|| mistyped(key, "a string"))
+}
+
+fn is_default<T: Default + PartialEq>(value: &T) -> bool {
+    *value == T::default()
+}
+
+/// The default member codec: the field's own [`Wire`] form.
+struct Plain;
+
+impl Plain {
+    fn put<T: Wire>(w: &mut JsonWriter<'_>, key: &str, value: &T) {
+        w.field(key, value);
+    }
+
+    fn take<T: Wire>(v: Node<'_>, key: &str) -> Result<T, ProtocolError> {
+        T::take(v, key)
+    }
+}
+
+/// Writes (`put`) or reads (`take`) the members of one object, in wire
+/// order, at the places the tokens in brackets prefix. Each entry is:
+///
+/// - `"key" => place`: a stored member. Absent on decode, the place
+///   keeps its initial value; mistyped, it is an error naming the key.
+/// - `"key" => place required`: absent is an error too.
+/// - `"key" => place if_set`: left off the wire while the place holds
+///   its `Default`.
+/// - `"key": Codec => place ...`: written and read by `Codec::put` and
+///   `Codec::take` instead of the field's own [`Wire`] form.
+/// - `"key" => method()`: derived from the value; encode only.
+/// - `"key" = "text"`: a constant; encode only.
+/// - `..place`: a [`Record`] whose members continue this object.
+///
+/// `take` walks the object's members once, keeping each stored key's
+/// last occurrence in a slot, then reads every slot: it collects one
+/// match arm and one read per entry and emits them at the end.
+macro_rules! members {
+    (put $w:ident [$($at:tt)*]) => {};
+    (put $w:ident [$($at:tt)*] ..$f:tt $(, $($rest:tt)*)?) => {
+        Record::put_members(&$($at)*$f, $w);
+        members!(put $w [$($at)*] $($($rest)*)?);
+    };
+    (put $w:ident [$($at:tt)*] $key:literal = $text:literal $(, $($rest:tt)*)?) => {
+        $w.field($key, $text);
+        members!(put $w [$($at)*] $($($rest)*)?);
+    };
+    (put $w:ident [$($at:tt)*] $key:literal => $f:ident() $(, $($rest:tt)*)?) => {
+        $w.field($key, &$($at)*$f());
+        members!(put $w [$($at)*] $($($rest)*)?);
+    };
+    (put $w:ident [$($at:tt)*]
+        $key:literal $(: $codec:ident)? => $f:tt $($mark:ident)? $(, $($rest:tt)*)?
+    ) => {
+        members!(@put $w $key [$($codec)? Plain] $($at)*$f $(, $mark)?);
+        members!(put $w [$($at)*] $($($rest)*)?);
+    };
+    // The codec is the first name in brackets: the entry's, else `Plain`.
+    (@put $w:ident $key:literal [$codec:ident $($plain:ident)?] $p:expr, if_set) => {
+        if !is_default(&$p) {
+            $codec::put($w, $key, &$p);
+        }
+    };
+    (@put $w:ident $key:literal [$codec:ident $($plain:ident)?] $p:expr $(, required)?) => {
+        $codec::put($w, $key, &$p);
+    };
+    (take $v:ident [$($at:tt)*] $($body:tt)*) => {
+        members!(@take $v [$($at)*] slots [] [] [] $($body)*);
+    };
+    (@take $v:ident $at:tt $slots:ident $n:tt [] [$($reads:tt)*]) => {
+        $($reads)*
+    };
+    (@take $v:ident $at:tt $slots:ident [$($n:tt)*] [$($arms:tt)*] [$($reads:tt)*]) => {
+        let mut $slots: [Option<Node<'_>>; 0 $($n)*] = [None; 0 $($n)*];
+        for (key, node) in $v.fields() {
+            // A later duplicate replaces an earlier one.
+            $slots[match key {
+                $($arms)*
+                _ => continue,
+            }] = Some(node);
+        }
+        $($reads)*
+    };
+    (@take $v:ident [$($at:tt)*] $slots:ident $n:tt $arms:tt [$($reads:tt)*]
+        ..$f:tt $(, $($rest:tt)*)?
+    ) => {
+        members!(@take $v [$($at)*] $slots $n $arms [
+            $($reads)*
+            $($at)*$f = Record::take_members($v)?;
+        ] $($($rest)*)?);
+    };
+    (@take $v:ident $at:tt $slots:ident $n:tt $arms:tt $reads:tt
+        $key:literal $(= $text:literal)? $(=> $f:ident())? $(, $($rest:tt)*)?
+    ) => {
+        members!(@take $v $at $slots $n $arms $reads $($($rest)*)?);
+    };
+    (@take $v:ident [$($at:tt)*] $slots:ident [$($n:tt)*] [$($arms:tt)*] [$($reads:tt)*]
+        $key:literal $(: $codec:ident)? => $f:tt $($mark:ident)? $(, $($rest:tt)*)?
+    ) => {
+        members!(@take $v [$($at)*] $slots [$($n)* +1] [$($arms)* $key => 0 $($n)*,] [
+            $($reads)*
+            members!(@read ($slots[0 $($n)*]) $key [$($codec)? Plain] $($at)*$f $(, $mark)?);
+        ] $($($rest)*)?);
+    };
+    (@read $node:tt $key:literal [$codec:ident $($plain:ident)?] $p:expr, required) => {
+        $p = $codec::take($node.ok_or_else(|| missing($key))?, $key)?;
+    };
+    (@read $node:tt $key:literal [$codec:ident $($plain:ident)?] $p:expr $(, if_set)?) => {
+        if let Some(node) = $node {
+            $p = $codec::take(node, $key)?;
+        }
+    };
+}
+
+/// Declares the wire table of one record: its type, the value a decode
+/// starts from, optionally a check the decoded value must pass, then
+/// its members (see `members!`). Expands to its [`Record`] impl and to
+/// a [`Wire`] impl that nests it as one object.
+macro_rules! wire_record {
+    (@object $ty:ty) => {
+        impl Wire for $ty {
+            fn put(&self, w: &mut JsonWriter<'_>) {
+                w.obj(|w| self.put_members(w));
+            }
+
+            fn take(v: Node<'_>, key: &str) -> Result<Self, ProtocolError> {
+                object(v, key).and_then(Self::take_members)
             }
         }
-    )+};
-}
-
-from_wire_int!(u64, usize, u32, u8);
-
-impl FromWire for f64 {
-    fn from_wire(v: Node<'_>, key: &str) -> Result<f64, ProtocolError> {
-        v.as_f64()
-            .ok_or_else(|| bad(format!("'{key}' must be a number")))
-    }
-}
-
-impl FromWire for String {
-    fn from_wire(v: Node<'_>, key: &str) -> Result<String, ProtocolError> {
-        v.as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| bad(format!("'{key}' must be a string")))
-    }
-}
-
-/// Flags (`degraded`, `persistent`) are lenient: anything but `true`
-/// reads as false.
-impl FromWire for bool {
-    fn from_wire(v: Node<'_>, _key: &str) -> Result<bool, ProtocolError> {
-        Ok(v.as_bool() == Some(true))
-    }
-}
-
-/// Index lists (frontier members) are required arrays of exact
-/// non-negative integers.
-impl FromWire for Vec<usize> {
-    const REQUIRED: bool = true;
-
-    fn from_wire(v: Node<'_>, key: &str) -> Result<Vec<usize>, ProtocolError> {
-        v.items()
-            .ok_or_else(|| bad(format!("'{key}' must be an array")))?
-            .map(|i| usize::from_wire(i, key))
-            .collect()
-    }
-}
-
-/// Reads field `key`, whose value is `node` when present, into `slot`.
-/// An absent field keeps the slot unless its type is required, or
-/// unless `record` names a record whose fields all are; then absent and
-/// mistyped alike are "`record` field 'key' missing".
-fn take_field<T: FromWire>(
-    node: Option<Node<'_>>,
-    key: &str,
-    slot: &mut T,
-    record: Option<&str>,
-) -> Result<(), ProtocolError> {
-    let missing = |record: &str| bad(format!("{record} field '{key}' missing"));
-    match (node, record) {
-        (Some(f), None) => *slot = T::from_wire(f, key)?,
-        (Some(f), Some(r)) => *slot = T::from_wire(f, key).map_err(|_| missing(r))?,
-        (None, Some(r)) => return Err(missing(r)),
-        (None, None) if T::REQUIRED => return Err(bad(format!("missing '{key}'"))),
-        (None, None) => {}
-    }
-    Ok(())
-}
-
-/// Field `key` of `v`, or `default` when absent.
-fn field<T: FromWire>(v: Node<'_>, key: &str, default: T) -> Result<T, ProtocolError> {
-    let mut slot = default;
-    take_field(v.get(key), key, &mut slot, None)?;
-    Ok(slot)
-}
-
-/// Field `key` of `v`, which must be present and well-typed.
-fn required<T: FromWire>(v: Node<'_>, key: &str, otherwise: &str) -> Result<T, ProtocolError> {
-    v.get(key)
-        .and_then(|f| T::from_wire(f, key).ok())
-        .ok_or_else(|| bad(otherwise))
-}
-
-/// Writes a flag that is absent on the wire unless set.
-fn put_flag(w: &mut JsonWriter<'_>, key: &str, on: bool) {
-    if on {
-        w.field(key, true);
-    }
-}
-
-/// Declares the wire table of one flat record. Each `"key" => field`
-/// entry is a stored field, each `"key" => method()` entry a derived,
-/// encode-only one, and the entry order is the wire order. Expands to
-/// `$put`, which writes the members into an open object, and `$take`,
-/// which reads them back onto a base value: one pass over the object's
-/// members matches each key (a later duplicate replaces an earlier
-/// one), then [`take_field`] converts every stored field — absent ones
-/// keep their base value (or are errors, when `$record` names a record
-/// whose fields are all required), mistyped ones are errors.
-macro_rules! wire_record {
-    (@slot $field:ident) => {
-        let mut $field = None;
     };
-    (@slot $field:ident ()) => {};
-    (@set $field:ident, $node:ident) => {
-        $field = Some($node)
-    };
-    (@set $field:ident (), $node:ident) => {
-        ()
-    };
-    (@take $x:ident, $record:expr, $key:literal, $field:ident) => {
-        take_field($field, $key, &mut $x.$field, $record)?
-    };
-    (@take $x:ident, $record:expr, $key:literal, $field:ident ()) => {};
-    (
-        $ty:ty => $put:ident, $take:ident, $record:expr;
-        $($key:literal => $field:ident $(($($call:tt)*))?,)+
-    ) => {
-        fn $put(x: &$ty, w: &mut JsonWriter<'_>) {
-            $(w.field($key, &x.$field $(($($call)*))?);)+
+    ($ty:ty = $base:expr $(, check $check:expr)?; $($body:tt)*) => {
+        impl Record for $ty {
+            fn put_members(&self, w: &mut JsonWriter<'_>) {
+                members!(put w [self.] $($body)*);
+            }
+
+            // A flattened member first assigns right after the base.
+            #[allow(clippy::field_reassign_with_default)]
+            fn take_members(v: Node<'_>) -> Result<Self, ProtocolError> {
+                let mut x: $ty = $base;
+                members!(take v [x.] $($body)*);
+                $(($check)(&x)?;)?
+                Ok(x)
+            }
         }
 
-        fn $take(v: Node<'_>, mut x: $ty) -> Result<$ty, ProtocolError> {
-            $(wire_record!(@slot $field $(($($call)*))?);)+
-            for (key, node) in v.fields() {
-                match key {
-                    $($key => wire_record!(@set $field $(($($call)*))?, node),)+
-                    _ => {}
+        wire_record!(@object $ty);
+    };
+}
+
+/// Declares the variant table of a message enum. Per variant: the head
+/// of its line (`type "tag"` on a success line; `error "tag"`, or
+/// `error binding` for the line's own message, on a failure line), an
+/// optional `if "flag"` for a variant told apart from others of its tag
+/// by `"flag":true` (written first), the variant with its bindings and
+/// the values they hold when their member is absent, its members in
+/// brackets (see `members!`), and an optional `then` block that checks
+/// or completes the decoded bindings. A flagged variant comes before
+/// the others of its tag. Expands to `put_body` and `from_head`, plus
+/// `TYPES` and `kind` (`types`) or `head` (`head`).
+macro_rules! wire_enum {
+    ($enum:ident, $what:literal, $extra:ident; $($table:tt)*) => {
+        wire_enum!(@$extra $enum; $($table)*);
+        wire_enum!(@codec $enum, $what; $($table)*);
+    };
+    (@types $enum:ident; $(
+        type $tag:literal => $var:ident $(($($tb:tt)*))? $({$($sb:tt)*})? [$($body:tt)*]
+        $(then $then:block)?
+    ),* $(,)?) => {
+        impl $enum {
+            /// Every request `type` on the wire, in declaration order.
+            pub const TYPES: [&'static str; [$($tag),*].len()] = [$($tag),*];
+
+            /// This request's wire `type` (one of [`Request::TYPES`]),
+            /// which is also its metric label.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Self::$var { .. } => $tag,)*
                 }
             }
-            $(wire_record!(@take x, $record, $key, $field $(($($call)*))?);)+
-            Ok(x)
+        }
+    };
+    (@head $enum:ident; $(
+        $hk:ident $tag:tt $(if $flag:literal)? => $var:ident
+        $(($tb:ident $(= $tdef:expr)?))? $({$($sb:ident $(= $sdef:expr)?),* $(,)?})?
+        [$($body:tt)*] $(then $then:block)?
+    ),* $(,)?) => {
+        impl $enum {
+            /// The wire `type` of a success line, or the `error` of a
+            /// failure line.
+            #[allow(unused_variables)]
+            fn head(&self) -> Result<&'static str, &str> {
+                match self {
+                    $(Self::$var $(($tb))? $({$($sb),*})? => wire_enum!(@head_of $hk $tag),)*
+                }
+            }
+        }
+    };
+    (@head_of type $tag:literal) => { Ok($tag) };
+    (@head_of error $tag:literal) => { Err($tag) };
+    (@head_of error $message:ident) => { Err($message.as_str()) };
+    (@pat type $tag:literal) => { Ok($tag) };
+    (@pat error $tag:literal) => { Err($tag) };
+    (@pat error $message:ident) => { Err($message) };
+    (@codec $enum:ident, $what:literal; $(
+        $hk:ident $tag:tt $(if $flag:literal)? => $var:ident
+        $(($tb:ident $(= $tdef:expr)?))? $({$($sb:ident $(= $sdef:expr)?),* $(,)?})?
+        [$($body:tt)*] $(then $then:block)?
+    ),* $(,)?) => {
+        impl $enum {
+            #[allow(unused_variables)]
+            fn put_body(&self, w: &mut JsonWriter<'_>) {
+                match self {
+                    $(Self::$var $(($tb))? $({$($sb),*})? => {
+                        $(w.field($flag, &true);)?
+                        members!(put w [*] $($body)*);
+                    })*
+                }
+            }
+
+            /// Reads the body of a line whose head is `head` (see
+            /// `head`): the first variant of that head whose flag, if
+            /// any, the line sets.
+            #[allow(unused_assignments, unused_mut, unused_variables)]
+            fn from_head(v: Node<'_>, head: Result<&str, &str>) -> Result<Self, ProtocolError> {
+                // Flags that tell variants apart read leniently.
+                let flag = |key: &str| v.get(key).and_then(Node::as_bool) == Some(true);
+                Ok(match head {
+                    $(wire_enum!(@pat $hk $tag) if true $(&& flag($flag))? => {
+                        $(let mut $tb $(= $tdef)?;)?
+                        $($(let mut $sb $(= $sdef)?;)*)?
+                        members!(take v [] $($body)*);
+                        $($then)?
+                        Self::$var $(($tb))? $({$($sb),*})?
+                    })*
+                    #[allow(unreachable_patterns)]
+                    Ok(other) | Err(other) => {
+                        return Err(bad(format!(concat!("unknown ", $what, " type '{}'"), other)))
+                    }
+                })
+            }
         }
     };
 }
 
+// ---------------------------------------------------------------- records
+
 wire_record! {
-    DesignPoint => put_point, take_point, None;
+    DesignPoint = DesignPoint::paper_alexnet();
     "net" => net,
     "pes" => pes,
     "freq_mhz" => freq_mhz,
@@ -711,68 +852,148 @@ wire_record! {
 }
 
 wire_record! {
-    PointResult => put_result, take_result, Some("result");
-    "fps" => fps,
-    "achieved_gops" => achieved_gops,
-    "peak_gops" => peak_gops,
-    "chip_mw" => chip_mw,
-    "dram_mw" => dram_mw,
+    PointResult = PointResult::default();
+    "fps" => fps required,
+    "achieved_gops" => achieved_gops required,
+    "peak_gops" => peak_gops required,
+    "chip_mw" => chip_mw required,
+    "dram_mw" => dram_mw required,
     "system_mw" => system_mw(),
     "gops_per_watt" => gops_per_watt(),
-    "gates_k" => gates_k,
-    "sram_kb" => sram_kb,
-    "sqnr_db" => sqnr_db,
+    "gates_k" => gates_k required,
+    "sram_kb" => sram_kb required,
+    "sqnr_db" => sqnr_db required,
 }
 
 wire_record! {
-    MixResult => put_mix_result, take_mix_result, Some("tune result");
-    "fps" => fps,
-    "chip_mw" => chip_mw,
-    "dram_mw" => dram_mw,
+    MixResult = MixResult::default();
+    "fps" => fps required,
+    "chip_mw" => chip_mw required,
+    "dram_mw" => dram_mw required,
     "system_mw" => system_mw(),
-    "peak_gops" => peak_gops,
+    "peak_gops" => peak_gops required,
     "gops_per_watt" => gops_per_watt(),
-    "gates_k" => gates_k,
-    "sram_kb" => sram_kb,
-    "sqnr_db" => sqnr_db,
+    "gates_k" => gates_k required,
+    "sram_kb" => sram_kb required,
+    "sqnr_db" => sqnr_db required,
+}
+
+/// An outcome: `"status":"ok"` and the result's members, or
+/// `"status":"infeasible"` and the reason.
+impl Record for PointOutcome {
+    fn put_members(&self, w: &mut JsonWriter<'_>) {
+        match self {
+            PointOutcome::Feasible(r) => {
+                w.field("status", "ok");
+                r.put_members(w);
+            }
+            PointOutcome::Infeasible(reason) => {
+                w.field("status", "infeasible").field("reason", reason);
+            }
+        }
+    }
+
+    fn take_members(v: Node<'_>) -> Result<Self, ProtocolError> {
+        match v.get("status").and_then(Node::as_str) {
+            Some("ok") => PointResult::take_members(v).map(PointOutcome::Feasible),
+            Some("infeasible") => Ok(PointOutcome::Infeasible(
+                v.get("reason")
+                    .and_then(Node::as_str)
+                    .unwrap_or("unspecified")
+                    .to_owned(),
+            )),
+            _ => Err(bad("missing or unknown 'status'")),
+        }
+    }
+}
+
+wire_record!(@object PointOutcome);
+
+wire_record! {
+    FrontierEntry = FrontierEntry {
+        point: DesignPoint::paper_alexnet(),
+        result: PointResult::default(),
+    };
+    "point" => point required,
+    "status" = "ok",
+    ..result,
 }
 
 wire_record! {
-    Objectives => put_objectives, take_objectives, None;
+    Objectives = Objectives::default();
     "fps" => fps,
     "system_mw" => system_mw,
     "gates_k" => gates_k,
     "sqnr_db" => sqnr_db,
 }
 
+// A sub-sweep's frontier candidate: its global grid index `i` and its
+// objectives.
 wire_record! {
-    SweepSummary => put_sweep, take_sweep, None;
+    (usize, Objectives) = Default::default();
+    "i" => 0 required,
+    ..1,
+}
+
+wire_record! {
+    SweepSummary = SweepSummary::default();
     "points" => points,
     "feasible" => feasible,
     "cache_hits" => cache_hits,
     "cache_misses" => cache_misses,
     "wall_ms" => wall_ms,
-    "frontier_3d" => frontier_3d,
-    "frontier_sqnr" => frontier_sqnr,
+    "frontier_3d" => frontier_3d required,
+    "frontier_sqnr" => frontier_sqnr required,
+    "candidates" => candidates if_set,
+    "degraded" => degraded if_set,
 }
 
 wire_record! {
-    TuneSummary => put_tune_counts, take_tune_counts, None;
+    Tuned = Tuned {
+        point: DesignPoint::paper_alexnet(),
+        result: MixResult::default(),
+        admitted: false,
+    };
+    "admitted" => admitted,
+    "point" => point required,
+    ..result,
+}
+
+/// A search's winner, when there is one: `"found"` says which.
+impl Record for Option<Tuned> {
+    fn put_members(&self, w: &mut JsonWriter<'_>) {
+        w.field("found", &self.is_some());
+        if let Some(tuned) = self {
+            tuned.put_members(w);
+        }
+    }
+
+    fn take_members(v: Node<'_>) -> Result<Self, ProtocolError> {
+        if bool::take(present(v, "found")?, "found")? {
+            Tuned::take_members(v).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+}
+
+wire_record! {
+    TuneSummary = TuneSummary::default();
+    ..best,
     "evaluations" => evaluations,
     "cache_hits" => cache_hits,
     "cache_misses" => cache_misses,
     "rounds" => rounds,
     "exhaustive_points" => exhaustive_points,
+    "degraded" => degraded if_set,
 }
 
 wire_record! {
-    FrontierStepSummary => put_step_position, take_step_position, None;
-    "step" => step,
-    "steps" => steps,
-}
-
-wire_record! {
-    FrontierStep => put_step_counts, take_step_counts, None;
+    FrontierStep = FrontierStep::default();
+    // Required, not defaulted: a NaN budget would poison every
+    // PartialEq on the step downstream.
+    "budget_value" => budget_value required,
+    ..best,
     "evaluations" => evaluations,
     "fresh_evaluations" => fresh_evaluations,
     "cache_hits" => cache_hits,
@@ -781,9 +1002,16 @@ wire_record! {
 }
 
 wire_record! {
-    FrontierDoneSummary => put_frontier_done, take_frontier_done, None;
+    FrontierStepSummary = FrontierStepSummary::default();
+    "step" => step,
     "steps" => steps,
-    "frontier" => frontier,
+    ..result,
+}
+
+wire_record! {
+    FrontierDoneSummary = FrontierDoneSummary::default();
+    "steps" => steps,
+    "frontier" => frontier required,
     "evaluations" => evaluations,
     "standalone_evaluations" => standalone_evaluations,
     "cache_hits" => cache_hits,
@@ -792,7 +1020,20 @@ wire_record! {
 }
 
 wire_record! {
-    ServerStats => put_stats, take_stats, None;
+    ShardStat = ShardStat {
+        addr: String::new(),
+        requests: 0,
+        errors: 0,
+        degraded: false,
+    };
+    "addr" => addr required,
+    "requests" => requests,
+    "errors" => errors,
+    "degraded" => degraded if_set,
+}
+
+wire_record! {
+    ServerStats = ServerStats::default();
     "cached_points" => cached_points,
     "hits" => hits,
     "misses" => misses,
@@ -810,33 +1051,38 @@ wire_record! {
     "queue_depth" => queue_depth,
     "slos" => slos,
     "slo_breach_ticks" => slo_breach_ticks,
+    "shards" => shards if_set,
 }
 
 wire_record! {
-    MetricsHistory => put_history, take_history, None;
-    "interval_s" => interval_s,
-    "samples" => samples,
-    "capacity" => capacity,
-}
-
-wire_record! {
-    HistoryWindow => put_window, take_window, None;
-    "window_s" => window_s,
-    "duration_s" => duration_s,
-    "samples" => samples,
-    "req_per_sec" => req_per_sec,
-    "points_per_sec" => points_per_sec,
-}
-
-wire_record! {
-    HistoryTypeWindow => put_type_window, take_type_window, None;
+    HistoryTypeWindow = HistoryTypeWindow::default();
+    "kind" => kind required,
     "requests" => requests,
     "p50_us" => p50_us,
     "p99_us" => p99_us,
 }
 
 wire_record! {
-    WatchSample => put_watch, take_watch, None;
+    HistoryWindow = HistoryWindow::default();
+    "window_s" => window_s,
+    "duration_s" => duration_s,
+    "samples" => samples,
+    "req_per_sec" => req_per_sec,
+    "points_per_sec" => points_per_sec,
+    "types" => types required,
+}
+
+wire_record! {
+    MetricsHistory = MetricsHistory::default();
+    "interval_s" => interval_s,
+    "samples" => samples,
+    "capacity" => capacity,
+    "windows" => windows required,
+}
+
+wire_record! {
+    WatchSample = WatchSample::default();
+    "seq" => seq required,
     "interval_s" => interval_s,
     "window_s" => window_s,
     "req_per_sec" => req_per_sec,
@@ -848,201 +1094,425 @@ wire_record! {
     "requests_total" => requests_total,
     "queue_wait_p99_us" => queue_wait_p99_us,
     "execute_p99_us" => execute_p99_us,
+    "types" => types required,
 }
 
-// ---------------------------------------------------------------- encode
+// One span. Its trace id is not a member: a `trace` reply states it
+// once, and a flight file writes it before the span's members.
+wire_record! {
+    SpanRecord = SpanRecord {
+        trace_id: 0,
+        span_id: 0,
+        parent_id: 0,
+        name: String::new(),
+        start_us: 0,
+        dur_us: 0,
+        worker: None,
+        points: 0,
+    };
+    "span" => span_id required,
+    "parent" => parent_id,
+    "name" => name required,
+    "start_us" => start_us,
+    "dur_us" => dur_us,
+    "worker" => worker,
+    "points" => points if_set,
+}
+
+wire_record! {
+    Snapshot = Snapshot::default();
+    "uptime_s" => uptime_s,
+    "metrics" => entries required,
+}
+
+wire_record! {
+    MetricEntry = MetricEntry {
+        name: String::new(),
+        labels: Vec::new(),
+        value: MetricValue::Counter(0),
+    };
+    "name" => name required,
+    "labels": Labels => labels if_set,
+    ..value,
+}
+
+wire_record! {
+    HistogramSummary = HistogramSummary::default();
+    "count" => count,
+    "sum" => sum,
+    "p50" => p50,
+    "p95" => p95,
+    "p99" => p99,
+    "max" => max,
+}
+
+/// A metric value: its `"kind"`, then the kind's members.
+impl Record for MetricValue {
+    fn put_members(&self, w: &mut JsonWriter<'_>) {
+        match self {
+            MetricValue::Counter(v) => {
+                w.field("kind", "counter").field("value", v);
+            }
+            MetricValue::Gauge(v) => {
+                w.field("kind", "gauge").field("value", v);
+            }
+            MetricValue::Histogram(h) => {
+                w.field("kind", "histogram");
+                h.put_members(w);
+            }
+        }
+    }
+
+    fn take_members(v: Node<'_>) -> Result<Self, ProtocolError> {
+        Ok(match tag(v, "kind")? {
+            "counter" => MetricValue::Counter(u64::take(present(v, "value")?, "value")?),
+            "gauge" => {
+                MetricValue::Gauge(v.get("value").map_or(Ok(0.0), |n| f64::take(n, "value"))?)
+            }
+            "histogram" => MetricValue::Histogram(HistogramSummary::take_members(v)?),
+            other => return Err(bad(format!("unknown metric kind '{other}'"))),
+        })
+    }
+}
+
+/// Metric labels: one object of string values, in label order.
+struct Labels;
+
+impl Labels {
+    fn put(w: &mut JsonWriter<'_>, key: &str, labels: &[(String, String)]) {
+        w.key(key).obj(|w| {
+            for (name, value) in labels {
+                w.field(name, value);
+            }
+        });
+    }
+
+    fn take(v: Node<'_>, key: &str) -> Result<Vec<(String, String)>, ProtocolError> {
+        object(v, key)?
+            .fields()
+            .map(|(name, value)| Ok((name.to_owned(), String::take(value, name)?)))
+            .collect()
+    }
+}
+
+wire_record! {
+    SweepPart = SweepPart { index: 0, of: 0 },
+    check |part: &SweepPart| match part.of {
+        0 => Err(bad("'part' needs a positive 'of'")),
+        _ => Ok(()),
+    };
+    "index" => index,
+    "of" => of,
+}
+
+wire_record! {
+    SweepSpec = SweepSpec::paper_point();
+    "nets": Axis => nets,
+    "pes": Axis => pes,
+    "freqs_mhz": Axis => freqs_mhz,
+    "kmem_depths": Axis => kmem_depths,
+    "imem_kb": Axis => imem_kb,
+    "omem_kb": Axis => omem_kb,
+    "word_bits": Axis => word_bits,
+    "batches": Axis => batches,
+    "part" => part,
+}
+
+/// A sweep axis: an array of values, or one scalar for a one-value axis.
+struct Axis;
+
+impl Axis {
+    fn put<T: Wire>(w: &mut JsonWriter<'_>, key: &str, values: &[T]) {
+        w.field(key, values);
+    }
+
+    fn take<T: Wire>(v: Node<'_>, key: &str) -> Result<Vec<T>, ProtocolError> {
+        match v.items() {
+            Some(_) => Vec::take(v, key),
+            None => T::take(v, key).map(|value| vec![value]),
+        }
+    }
+}
+
+wire_record! {
+    Budget = Budget::default();
+    "max_system_mw" => max_system_mw,
+    "max_gates_k" => max_gates_k,
+    "min_fps" => min_fps,
+    "min_sqnr_db" => min_sqnr_db,
+}
+
+// The shared body of `tune` and `tune_frontier` requests. Seeds ride
+// the JSON number; above 2^53 they would lose precision, which the
+// decoder rejects rather than silently aliasing.
+wire_record! {
+    TuneRequest = TuneRequest::default();
+    "space" => space,
+    "mix" => mix,
+    "budget" => budget,
+    "objective" => objective,
+    "strategy" => strategy,
+    "seed" => seed,
+}
+
+wire_record! {
+    FrontierTuneRequest = FrontierTuneRequest::default();
+    ..base,
+    "sweep": SweepForm => sweep required,
+}
+
+wire_record! {
+    BudgetSweep = BudgetSweep {
+        axis: BudgetAxis::MaxSystemMw,
+        values: Vec::new(),
+    },
+    check |sweep: &BudgetSweep| sweep.validate().map_err(ProtocolError);
+    "axis" => axis required,
+    "values" => values required,
+}
+
+/// A budget sweep: its object, or the CLI string form
+/// (`"max-mw=300..=900:50"`). Either way the sweep is validated
+/// (non-empty, strictly increasing, legal bounds).
+struct SweepForm;
+
+impl SweepForm {
+    fn put(w: &mut JsonWriter<'_>, key: &str, sweep: &BudgetSweep) {
+        w.field(key, sweep);
+    }
+
+    fn take(v: Node<'_>, key: &str) -> Result<BudgetSweep, ProtocolError> {
+        match v.as_str() {
+            Some(text) => BudgetSweep::parse(text).map_err(ProtocolError),
+            None => BudgetSweep::take(v, key),
+        }
+    }
+}
+
+wire_record! {
+    TraceContext = TraceContext { id: 0, parent: 0 },
+    check |ctx: &TraceContext| match ctx.id {
+        0 => Err(bad("'trace' id must be non-zero")),
+        _ => Ok(()),
+    };
+    "id" => id required,
+    "parent" => parent if_set,
+}
+
+wire_record! {
+    RequestMeta = RequestMeta::default();
+    "trace" => trace,
+    "req" => req_id,
+}
+
+// ---------------------------------------------------------------- grammars
+
+/// Names on the wire: a search strategy, a budget axis, a metric.
+macro_rules! wire_by_name {
+    ($($t:ty),+) => {$(
+        impl Wire for $t {
+            fn put(&self, w: &mut JsonWriter<'_>) {
+                self.name().put(w);
+            }
+
+            fn take(v: Node<'_>, key: &str) -> Result<Self, ProtocolError> {
+                v.as_str()
+                    .ok_or_else(|| mistyped(key, "a string"))?
+                    .parse()
+                    .map_err(ProtocolError)
+            }
+        }
+    )+};
+}
+
+wire_by_name!(StrategyKind, BudgetAxis, Metric);
+
+/// A mix: an object of `net: weight` pairs, or the CLI string form
+/// (`"alexnet:0.7,vgg16:0.3"`).
+impl Wire for WorkloadMix {
+    fn put(&self, w: &mut JsonWriter<'_>) {
+        w.obj(|w| {
+            for e in self.entries() {
+                w.field(&e.net, &e.weight);
+            }
+        });
+    }
+
+    fn take(v: Node<'_>, key: &str) -> Result<Self, ProtocolError> {
+        let mix = match v.as_str() {
+            Some(text) => WorkloadMix::parse(text),
+            None if v.is_obj() => WorkloadMix::new(
+                v.fields()
+                    .map(|(net, weight)| {
+                        Ok(MixEntry {
+                            net: net.to_owned(),
+                            weight: f64::take(weight, net)?,
+                        })
+                    })
+                    .collect::<Result<_, ProtocolError>>()?,
+            ),
+            None => return Err(mistyped(key, "an object of net: weight pairs or a string")),
+        };
+        mix.map_err(|e| bad(e.to_string()))
+    }
+}
+
+/// An objective: a metric name or an array of names (lexicographic
+/// order), or `{"scalarized":{name: weight}}`.
+impl Wire for Objective {
+    fn put(&self, w: &mut JsonWriter<'_>) {
+        match self {
+            Objective::Lexicographic(metrics) => metrics.put(w),
+            Objective::Scalarized(terms) => {
+                w.obj(|w| {
+                    w.key("scalarized").obj(|w| {
+                        for (metric, weight) in terms {
+                            w.field(metric.name(), weight);
+                        }
+                    });
+                });
+            }
+        }
+    }
+
+    fn take(v: Node<'_>, key: &str) -> Result<Self, ProtocolError> {
+        let objective = if let Some(text) = v.as_str() {
+            return Objective::parse(text).map_err(ProtocolError);
+        } else if v.is_obj() {
+            let terms = v
+                .get("scalarized")
+                .filter(|t| t.is_obj())
+                .ok_or_else(|| bad("objective object needs a 'scalarized' object"))?;
+            Objective::Scalarized(
+                terms
+                    .fields()
+                    .map(|(name, weight)| {
+                        Ok((
+                            name.parse::<Metric>().map_err(ProtocolError)?,
+                            f64::take(weight, name)?,
+                        ))
+                    })
+                    .collect::<Result<_, ProtocolError>>()?,
+            )
+        } else {
+            Objective::Lexicographic(Vec::take(v, key)?)
+        };
+        objective.validate().map_err(ProtocolError)?;
+        Ok(objective)
+    }
+}
+
+/// The frontier's third axis: `"sqnr"` swaps area for measured SQNR;
+/// `"gates"`, the default, is left off the wire.
+struct FrontierAxes;
+
+impl FrontierAxes {
+    fn put(w: &mut JsonWriter<'_>, key: &str, sqnr: &bool) {
+        if *sqnr {
+            w.field(key, "sqnr");
+        }
+    }
+
+    fn take(v: Node<'_>, key: &str) -> Result<bool, ProtocolError> {
+        match v.as_str() {
+            Some("gates") => Ok(false),
+            Some("sqnr") => Ok(true),
+            _ => Err(mistyped(key, "\"gates\" or \"sqnr\"")),
+        }
+    }
+}
+
+// ---------------------------------------------------------------- messages
+
+wire_enum! {
+    Request, "request", types;
+    type "eval" => Eval(point = DesignPoint::paper_alexnet()) ["point" => point],
+    type "eval_batch" => EvalBatch(points) ["points" => points required],
+    type "sweep" => Sweep(spec) ["spec" => spec required],
+    type "tune" => Tune(request) [..request],
+    type "tune_frontier" => TuneFrontier(request) [..request],
+    type "frontier" => Frontier { dims = 3, sqnr = false, stream = false } [
+        "dims" => dims,
+        "axes": FrontierAxes => sqnr,
+        "stream" => stream if_set,
+    ] then {
+        if !(dims == 2 || dims == 3) {
+            return Err(bad("'dims' must be 2 or 3"));
+        }
+        if sqnr && dims != 3 {
+            return Err(bad("the sqnr frontier is 3-dimensional; use dims 3"));
+        }
+    },
+    type "stats" => Stats [],
+    type "metrics" => Metrics [],
+    type "metrics_history" => MetricsHistory [],
+    type "watch" => Watch { samples = 0 } ["samples" => samples],
+    type "trace_query" => TraceQuery { id } ["id" => id required],
+    type "dump" => Dump [],
+    type "shutdown" => Shutdown [],
+}
+
+wire_enum! {
+    Response, "response", head;
+    type "eval" => Eval { point, outcome } ["point" => point required, ..outcome],
+    type "eval_batch" => EvalBatch { outcomes, cache_hits = 0, cache_misses = 0 } [
+        "cache_hits" => cache_hits,
+        "cache_misses" => cache_misses,
+        "outcomes" => outcomes required,
+    ],
+    type "sweep" => Sweep(summary) [..summary],
+    type "tune" => Tune(summary) [..summary],
+    type "tune_frontier" if "done" => TuneFrontierDone(summary) [..summary],
+    type "tune_frontier" => TuneFrontierStep(summary) [..summary],
+    type "frontier" if "done" => FrontierStreamDone { dims = 3, entries = 0, degraded = false } [
+        "dims" => dims,
+        "entries" => entries,
+        "degraded" => degraded if_set,
+    ],
+    type "frontier" if "stream" => FrontierStreamEntry { entry } [..entry],
+    type "frontier" => Frontier { dims = 3, entries, degraded = false } [
+        "dims" => dims,
+        "entries" => entries required,
+        "degraded" => degraded if_set,
+    ],
+    type "stats" => Stats(stats) [..stats],
+    type "metrics" => Metrics { snapshot } [..snapshot],
+    type "metrics_history" => MetricsHistory(history) [..history],
+    type "watch" if "done" => WatchDone { samples = 0 } ["samples" => samples],
+    type "watch" => WatchSample(sample) [..sample],
+    type "trace" => Trace { id, dropped = 0, spans = Vec::<SpanRecord>::new() } [
+        "id" => id required,
+        "dropped" => dropped,
+        "spans" => spans required,
+    ] then {
+        // The reply states its trace id once, for every span.
+        for span in &mut spans {
+            span.trace_id = id;
+        }
+    },
+    type "dump" => Dump { path, spans = 0, dropped = 0 } [
+        "path" => path required,
+        "spans" => spans,
+        "dropped" => dropped,
+    ],
+    type "shutdown" => Shutdown [],
+    error "busy" => Busy { active = 0, capacity = 0 } [
+        "active" => active,
+        "capacity" => capacity,
+    ],
+    error message => Error { message = message.to_owned() } [],
+}
 
 /// Starting capacity of a freshly encoded line: an eval reply is about
 /// 450 bytes, so the common lines are written without regrowing.
 const LINE_CAPACITY: usize = 512;
 
-fn put_outcome(outcome: &PointOutcome, w: &mut JsonWriter<'_>) {
-    match outcome {
-        PointOutcome::Feasible(r) => put_feasible(r, w),
-        PointOutcome::Infeasible(reason) => {
-            w.field("status", "infeasible").field("reason", reason);
-        }
-    }
-}
-
-/// A frontier entry's members: the point, then its feasible result.
-fn put_entry(e: &FrontierEntry, w: &mut JsonWriter<'_>) {
-    w.key("point").obj(|w| put_point(&e.point, w));
-    put_feasible(&e.result, w);
-}
-
-fn put_feasible(r: &PointResult, w: &mut JsonWriter<'_>) {
-    w.field("status", "ok");
-    put_result(r, w);
-}
-
-/// The `found`/`admitted`/`point` + mix-metric block shared by `tune`
-/// replies and `tune_frontier` step lines.
-fn put_tuned(best: &Option<Tuned>, w: &mut JsonWriter<'_>) {
-    w.field("found", best.is_some());
-    if let Some(t) = best {
-        w.field("admitted", t.admitted);
-        w.key("point").obj(|w| put_point(&t.point, w));
-        put_mix_result(&t.result, w);
-    }
-}
-
-fn put_spec(s: &SweepSpec, w: &mut JsonWriter<'_>) {
-    w.field("nets", &s.nets)
-        .field("pes", &s.pes)
-        .field("freqs_mhz", &s.freqs_mhz)
-        .field("kmem_depths", &s.kmem_depths)
-        .field("imem_kb", &s.imem_kb)
-        .field("omem_kb", &s.omem_kb)
-        .field("word_bits", &s.word_bits)
-        .field("batches", &s.batches);
-    if let Some(part) = &s.part {
-        w.key("part").obj(|w| {
-            w.field("index", part.index).field("of", part.of);
-        });
-    }
-}
-
-/// The shared body of `tune` and `tune_frontier` requests.
-fn put_tune_request(req: &TuneRequest, w: &mut JsonWriter<'_>) {
-    w.key("space").obj(|w| put_spec(&req.space, w));
-    w.key("mix").obj(|w| {
-        for e in req.mix.entries() {
-            w.field(&e.net, e.weight);
-        }
-    });
-    w.key("budget").obj(|w| {
-        let b = &req.budget;
-        for (key, value) in [
-            ("max_system_mw", b.max_system_mw),
-            ("max_gates_k", b.max_gates_k),
-            ("min_fps", b.min_fps),
-            ("min_sqnr_db", b.min_sqnr_db),
-        ] {
-            if let Some(v) = value {
-                w.field(key, v);
-            }
-        }
-    });
-    w.key("objective");
-    match &req.objective {
-        Objective::Lexicographic(metrics) => {
-            w.arr(|w| {
-                for m in metrics {
-                    w.value(m.name());
-                }
-            });
-        }
-        Objective::Scalarized(terms) => {
-            w.obj(|w| {
-                w.key("scalarized").obj(|w| {
-                    for (m, weight) in terms {
-                        w.field(m.name(), *weight);
-                    }
-                });
-            });
-        }
-    }
-    // Seeds ride the JSON number; above 2^53 they would lose precision,
-    // which the decoder rejects rather than silently aliasing.
-    w.field("strategy", req.strategy.name())
-        .field("seed", req.seed);
-}
-
-/// One span of a `trace` reply. The span's trace id is implied by the
-/// reply-level `id` and not repeated per span.
-pub(crate) fn put_span(s: &SpanRecord, w: &mut JsonWriter<'_>) {
-    w.field("span", s.span_id)
-        .field("parent", s.parent_id)
-        .field("name", &s.name)
-        .field("start_us", s.start_us)
-        .field("dur_us", s.dur_us);
-    if let Some(worker) = s.worker {
-        w.field("worker", worker);
-    }
-    if s.points != 0 {
-        w.field("points", s.points);
-    }
-}
-
-pub(crate) fn put_metric_entry(entry: &MetricEntry, w: &mut JsonWriter<'_>) {
-    w.field("name", &entry.name);
-    if !entry.labels.is_empty() {
-        w.key("labels").obj(|w| {
-            for (k, v) in &entry.labels {
-                w.field(k, v);
-            }
-        });
-    }
-    match &entry.value {
-        MetricValue::Counter(v) => {
-            w.field("kind", "counter").field("value", *v);
-        }
-        MetricValue::Gauge(v) => {
-            w.field("kind", "gauge").field("value", *v);
-        }
-        MetricValue::Histogram(h) => {
-            w.field("kind", "histogram")
-                .field("count", h.count)
-                .field("sum", h.sum)
-                .field("p50", h.p50)
-                .field("p95", h.p95)
-                .field("p99", h.p99)
-                .field("max", h.max);
-        }
-    }
-}
-
-fn put_type_windows(types: &[HistoryTypeWindow], w: &mut JsonWriter<'_>) {
-    w.key("types").arr(|w| {
-        for t in types {
-            w.obj(|w| {
-                w.field("kind", &t.kind);
-                put_type_window(t, w);
-            });
-        }
-    });
+/// Parses one wire line; a syntax error becomes the protocol error.
+fn parse(line: &str) -> Result<Doc<'_>, ProtocolError> {
+    Doc::parse(line).map_err(|e| bad(e.to_string()))
 }
 
 impl Request {
-    /// Every request `type` on the wire, in declaration order.
-    pub const TYPES: [&'static str; 13] = [
-        "eval",
-        "eval_batch",
-        "sweep",
-        "tune",
-        "tune_frontier",
-        "frontier",
-        "stats",
-        "metrics",
-        "metrics_history",
-        "watch",
-        "trace_query",
-        "dump",
-        "shutdown",
-    ];
-
-    /// This request's wire `type` (one of [`Request::TYPES`]), which is
-    /// also its metric label.
-    pub fn kind(&self) -> &'static str {
-        let index = match self {
-            Request::Eval(_) => 0,
-            Request::EvalBatch(_) => 1,
-            Request::Sweep(_) => 2,
-            Request::Tune(_) => 3,
-            Request::TuneFrontier(_) => 4,
-            Request::Frontier { .. } => 5,
-            Request::Stats => 6,
-            Request::Metrics => 7,
-            Request::MetricsHistory => 8,
-            Request::Watch { .. } => 9,
-            Request::TraceQuery { .. } => 10,
-            Request::Dump => 11,
-            Request::Shutdown => 12,
-        };
-        Request::TYPES[index]
-    }
-
     /// Whether this request streams its reply (N result lines followed
     /// by one `done` line) instead of answering one line.
     pub fn is_streaming(&self) -> bool {
@@ -1080,63 +1550,40 @@ impl Request {
     pub(crate) fn encode_into(&self, meta: RequestMeta, out: &mut String) {
         JsonWriter::new(out).obj(|w| {
             w.field("type", self.kind());
-            if let Some(ctx) = meta.trace {
-                w.key("trace").obj(|w| {
-                    w.field("id", ctx.id);
-                    if ctx.parent != 0 {
-                        w.field("parent", ctx.parent);
-                    }
-                });
-            }
-            if let Some(id) = meta.req_id {
-                w.field("req", id);
-            }
+            meta.put_members(w);
             self.put_body(w);
         });
     }
 
-    fn put_body(&self, w: &mut JsonWriter<'_>) {
-        match self {
-            Request::Eval(point) => {
-                w.key("point").obj(|w| put_point(point, w));
-            }
-            Request::EvalBatch(points) => {
-                w.key("points").arr(|w| {
-                    for p in points {
-                        w.obj(|w| put_point(p, w));
-                    }
-                });
-            }
-            Request::Sweep(spec) => {
-                w.key("spec").obj(|w| put_spec(spec, w));
-            }
-            Request::Tune(req) => put_tune_request(req, w),
-            Request::TuneFrontier(req) => {
-                put_tune_request(&req.base, w);
-                w.key("sweep").obj(|w| {
-                    w.field("axis", req.sweep.axis.name())
-                        .field("values", &req.sweep.values);
-                });
-            }
-            Request::Frontier { dims, sqnr, stream } => {
-                w.field("dims", *dims);
-                if *sqnr {
-                    w.field("axes", "sqnr");
-                }
-                put_flag(w, "stream", *stream);
-            }
-            Request::Watch { samples } => {
-                w.field("samples", *samples);
-            }
-            Request::TraceQuery { id } => {
-                w.field("id", *id);
-            }
-            Request::Stats
-            | Request::Metrics
-            | Request::MetricsHistory
-            | Request::Dump
-            | Request::Shutdown => {}
-        }
+    /// Parses one request line, ignoring its envelope.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError`] on unparseable JSON, a missing/unknown
+    /// `"type"`, or mistyped fields.
+    pub fn decode(line: &str) -> Result<Request, ProtocolError> {
+        Request::from_node(parse(line)?.root())
+    }
+
+    /// Parses one request line together with its transport envelope:
+    /// the optional propagated `"trace"` context and the optional
+    /// pipelining id `"req"`. Both front ends' request handlers use this
+    /// so they can echo `"req"` on every reply line belonging to the
+    /// request (and the daemon can tag every span of it).
+    ///
+    /// # Errors
+    ///
+    /// Everything [`Request::decode`] rejects, plus a malformed
+    /// `"trace"` object (missing/zero `id`, mistyped fields) or a
+    /// non-integer `"req"`.
+    pub fn decode_with_meta(line: &str) -> Result<(Request, RequestMeta), ProtocolError> {
+        let doc = parse(line)?;
+        let meta = RequestMeta::take_members(doc.root())?;
+        Ok((Request::from_node(doc.root())?, meta))
+    }
+
+    fn from_node(v: Node<'_>) -> Result<Request, ProtocolError> {
+        Request::from_head(v, Ok(tag(v, "type")?))
     }
 }
 
@@ -1171,647 +1618,14 @@ impl Response {
     pub(crate) fn encode_into(&self, req_id: Option<u64>, out: &mut String) {
         JsonWriter::new(out).obj(|w| {
             match self.head() {
-                Ok(kind) => w.field("ok", true).field("type", kind),
-                Err(error) => w.field("ok", false).field("error", error),
+                Ok(kind) => w.field("ok", &true).field("type", kind),
+                Err(error) => w.field("ok", &false).field("error", error),
             };
-            if let Some(id) = req_id {
-                w.field("req", id);
-            }
+            w.field("req", &req_id);
             self.put_body(w);
         });
     }
 
-    /// The wire `type` of a success line, or the `error` of a failure.
-    fn head(&self) -> Result<&'static str, &str> {
-        Ok(match self {
-            Response::Eval { .. } => "eval",
-            Response::EvalBatch { .. } => "eval_batch",
-            Response::Sweep(_) => "sweep",
-            Response::Tune(_) => "tune",
-            Response::TuneFrontierStep(_) | Response::TuneFrontierDone(_) => "tune_frontier",
-            Response::FrontierStreamEntry { .. }
-            | Response::FrontierStreamDone { .. }
-            | Response::Frontier { .. } => "frontier",
-            Response::Stats(_) => "stats",
-            Response::Metrics { .. } => "metrics",
-            Response::MetricsHistory(_) => "metrics_history",
-            Response::WatchSample(_) | Response::WatchDone { .. } => "watch",
-            Response::Trace { .. } => "trace",
-            Response::Dump { .. } => "dump",
-            Response::Shutdown => "shutdown",
-            Response::Busy { .. } => return Err("busy"),
-            Response::Error { message } => return Err(message),
-        })
-    }
-
-    fn put_body(&self, w: &mut JsonWriter<'_>) {
-        match self {
-            Response::Eval { point, outcome } => {
-                w.key("point").obj(|w| put_point(point, w));
-                put_outcome(outcome, w);
-            }
-            Response::EvalBatch {
-                outcomes,
-                cache_hits,
-                cache_misses,
-            } => {
-                w.field("cache_hits", *cache_hits)
-                    .field("cache_misses", *cache_misses)
-                    .key("outcomes")
-                    .arr(|w| {
-                        for o in outcomes {
-                            w.obj(|w| put_outcome(o, w));
-                        }
-                    });
-            }
-            Response::Sweep(s) => {
-                put_sweep(s, w);
-                if !s.candidates.is_empty() {
-                    w.key("candidates").arr(|w| {
-                        for (i, o) in &s.candidates {
-                            w.obj(|w| {
-                                w.field("i", *i);
-                                put_objectives(o, w);
-                            });
-                        }
-                    });
-                }
-                put_flag(w, "degraded", s.degraded);
-            }
-            Response::Tune(s) => {
-                put_tuned(&s.best, w);
-                put_tune_counts(s, w);
-                put_flag(w, "degraded", s.degraded);
-            }
-            Response::TuneFrontierStep(s) => {
-                put_step_position(s, w);
-                w.field("budget_value", s.result.budget_value);
-                put_tuned(&s.result.best, w);
-                put_step_counts(&s.result, w);
-            }
-            Response::TuneFrontierDone(s) => {
-                w.field("done", true);
-                put_frontier_done(s, w);
-            }
-            Response::FrontierStreamEntry { entry } => {
-                w.field("stream", true);
-                put_entry(entry, w);
-            }
-            Response::FrontierStreamDone {
-                dims,
-                entries,
-                degraded,
-            } => {
-                w.field("done", true)
-                    .field("dims", *dims)
-                    .field("entries", *entries);
-                put_flag(w, "degraded", *degraded);
-            }
-            Response::Frontier {
-                dims,
-                entries,
-                degraded,
-            } => {
-                w.field("dims", *dims).key("entries").arr(|w| {
-                    for e in entries {
-                        w.obj(|w| put_entry(e, w));
-                    }
-                });
-                put_flag(w, "degraded", *degraded);
-            }
-            Response::Stats(st) => {
-                put_stats(st, w);
-                if !st.shards.is_empty() {
-                    w.key("shards").arr(|w| {
-                        for s in &st.shards {
-                            w.obj(|w| {
-                                w.field("addr", &s.addr)
-                                    .field("requests", s.requests)
-                                    .field("errors", s.errors);
-                                put_flag(w, "degraded", s.degraded);
-                            });
-                        }
-                    });
-                }
-            }
-            Response::Metrics { snapshot } => {
-                w.field("uptime_s", snapshot.uptime_s)
-                    .key("metrics")
-                    .arr(|w| {
-                        for entry in &snapshot.entries {
-                            w.obj(|w| put_metric_entry(entry, w));
-                        }
-                    });
-            }
-            Response::MetricsHistory(h) => {
-                put_history(h, w);
-                w.key("windows").arr(|w| {
-                    for window in &h.windows {
-                        w.obj(|w| {
-                            put_window(window, w);
-                            put_type_windows(&window.types, w);
-                        });
-                    }
-                });
-            }
-            Response::WatchSample(s) => {
-                w.field("seq", s.seq);
-                put_watch(s, w);
-                put_type_windows(&s.types, w);
-            }
-            Response::WatchDone { samples } => {
-                w.field("done", true).field("samples", *samples);
-            }
-            Response::Trace { id, dropped, spans } => {
-                w.field("id", *id)
-                    .field("dropped", *dropped)
-                    .key("spans")
-                    .arr(|w| {
-                        for s in spans {
-                            w.obj(|w| put_span(s, w));
-                        }
-                    });
-            }
-            Response::Dump {
-                path,
-                spans,
-                dropped,
-            } => {
-                w.field("path", path)
-                    .field("spans", *spans)
-                    .field("dropped", *dropped);
-            }
-            Response::Busy { active, capacity } => {
-                w.field("active", *active).field("capacity", *capacity);
-            }
-            Response::Shutdown | Response::Error { .. } => {}
-        }
-    }
-}
-
-// ---------------------------------------------------------------- decode
-
-/// Parses one wire line; a syntax error becomes the protocol error.
-fn parse(line: &str) -> Result<Doc<'_>, ProtocolError> {
-    Doc::parse(line).map_err(|e| bad(e.to_string()))
-}
-
-/// The envelope's optional pipelining id.
-fn req_id(v: Node<'_>) -> Result<Option<u64>, ProtocolError> {
-    v.get("req")
-        .map(|r| {
-            r.as_u64()
-                .ok_or_else(|| bad("'req' must be a non-negative integer"))
-        })
-        .transpose()
-}
-
-/// The request envelope: the optional `"trace"` context and `"req"` id.
-fn request_meta(v: Node<'_>) -> Result<RequestMeta, ProtocolError> {
-    let trace = match v.get("trace") {
-        None => None,
-        Some(t) if t.is_obj() => {
-            let id: u64 = required(t, "id", "'trace' needs an integer 'id'")?;
-            if id == 0 {
-                return Err(bad("'trace' id must be non-zero"));
-            }
-            Some(TraceContext {
-                id,
-                parent: field(t, "parent", 0)?,
-            })
-        }
-        Some(_) => return Err(bad("'trace' must be an object")),
-    };
-    Ok(RequestMeta {
-        trace,
-        req_id: req_id(v)?,
-    })
-}
-
-fn point_from(v: Node<'_>) -> Result<DesignPoint, ProtocolError> {
-    if !v.is_obj() {
-        return Err(bad("'point' must be an object"));
-    }
-    take_point(v, DesignPoint::paper_alexnet())
-}
-
-fn outcome_from(v: Node<'_>) -> Result<PointOutcome, ProtocolError> {
-    match v.get("status").and_then(Node::as_str) {
-        Some("ok") => Ok(PointOutcome::Feasible(take_result(
-            v,
-            PointResult::default(),
-        )?)),
-        Some("infeasible") => Ok(PointOutcome::Infeasible(
-            v.get("reason")
-                .and_then(Node::as_str)
-                .unwrap_or("unspecified")
-                .to_owned(),
-        )),
-        _ => Err(bad("missing or unknown 'status'")),
-    }
-}
-
-fn entry_from(v: Node<'_>, what: &str) -> Result<FrontierEntry, ProtocolError> {
-    let point = v
-        .get("point")
-        .ok_or_else(|| bad(format!("{what} needs 'point'")))?;
-    Ok(FrontierEntry {
-        point: point_from(point)?,
-        result: take_result(v, PointResult::default())?,
-    })
-}
-
-/// The inverse of [`put_tuned`].
-fn tuned_from(v: Node<'_>) -> Result<Option<Tuned>, ProtocolError> {
-    match v.get("found").and_then(Node::as_bool) {
-        Some(true) => {
-            let point = v
-                .get("point")
-                .ok_or_else(|| bad("tune response needs 'point' when found"))?;
-            Ok(Some(Tuned {
-                point: point_from(point)?,
-                result: take_mix_result(v, MixResult::default())?,
-                admitted: field(v, "admitted", false)?,
-            }))
-        }
-        Some(false) => Ok(None),
-        None => Err(bad("tune response needs a boolean 'found'")),
-    }
-}
-
-/// The elements of an array field, each decoded by `item`.
-fn list<T>(
-    v: Node<'_>,
-    key: &str,
-    what: &str,
-    item: impl FnMut(Node<'_>) -> Result<T, ProtocolError>,
-) -> Result<Vec<T>, ProtocolError> {
-    v.get(key)
-        .and_then(Node::items)
-        .ok_or_else(|| bad(what))?
-        .map(item)
-        .collect()
-}
-
-/// An axis is a scalar or an array of scalars.
-fn axis<T: FromWire>(v: Node<'_>, key: &str, what: &str) -> Result<Vec<T>, ProtocolError> {
-    let item =
-        |n| T::from_wire(n, key).map_err(|_| bad(format!("axis '{key}' must contain {what}")));
-    match v.items() {
-        Some(items) => items.map(item).collect(),
-        None => Ok(vec![item(v)?]),
-    }
-}
-
-fn spec_from(v: Node<'_>) -> Result<SweepSpec, ProtocolError> {
-    if !v.is_obj() {
-        return Err(bad("'spec' must be an object"));
-    }
-    let ints = "non-negative integers";
-    let mut spec = SweepSpec::paper_point();
-    for (key, slot) in [
-        ("pes", &mut spec.pes),
-        ("kmem_depths", &mut spec.kmem_depths),
-        ("imem_kb", &mut spec.imem_kb),
-        ("omem_kb", &mut spec.omem_kb),
-        ("batches", &mut spec.batches),
-    ] {
-        if let Some(a) = v.get(key) {
-            *slot = axis(a, key, ints)?;
-        }
-    }
-    if let Some(a) = v.get("freqs_mhz") {
-        spec.freqs_mhz = axis(a, "freqs_mhz", "numbers")?;
-    }
-    if let Some(a) = v.get("word_bits") {
-        spec.word_bits = axis::<usize>(a, "word_bits", ints)?
-            .into_iter()
-            .map(|b| u32::try_from(b).map_err(|_| bad("'word_bits' out of range")))
-            .collect::<Result<_, _>>()?;
-    }
-    if let Some(nets) = v.get("nets") {
-        spec.nets =
-            axis(nets, "nets", "strings").map_err(|_| bad("'nets' must contain strings"))?;
-    }
-    if let Some(part) = v.get("part") {
-        if !part.is_obj() {
-            return Err(bad("'part' must be an object"));
-        }
-        let of = field(part, "of", 0)?;
-        let index = field(part, "index", 0)?;
-        if of == 0 {
-            return Err(bad("'part' needs a positive 'of'"));
-        }
-        spec.part = Some(SweepPart { index, of });
-    }
-    Ok(spec)
-}
-
-fn mix_from(v: Node<'_>) -> Result<WorkloadMix, ProtocolError> {
-    let mix = if let Some(text) = v.as_str() {
-        WorkloadMix::parse(text)
-    } else if v.is_obj() {
-        WorkloadMix::new(
-            v.fields()
-                .map(|(net, w)| {
-                    Ok(MixEntry {
-                        net: net.to_owned(),
-                        weight: w.as_f64().ok_or_else(|| {
-                            bad(format!("mix weight for '{net}' must be a number"))
-                        })?,
-                    })
-                })
-                .collect::<Result<Vec<_>, ProtocolError>>()?,
-        )
-    } else {
-        return Err(bad(
-            "'mix' must be an object of net: weight pairs or a string",
-        ));
-    };
-    mix.map_err(|e| bad(e.to_string()))
-}
-
-fn budget_from(v: Node<'_>) -> Result<Budget, ProtocolError> {
-    if !v.is_obj() {
-        return Err(bad("'budget' must be an object"));
-    }
-    let opt = |key| v.get(key).map(|f| f64::from_wire(f, key)).transpose();
-    Ok(Budget {
-        max_system_mw: opt("max_system_mw")?,
-        max_gates_k: opt("max_gates_k")?,
-        min_fps: opt("min_fps")?,
-        min_sqnr_db: opt("min_sqnr_db")?,
-    })
-}
-
-fn objective_from(v: Node<'_>) -> Result<Objective, ProtocolError> {
-    let objective = if let Some(text) = v.as_str() {
-        return Objective::parse(text).map_err(ProtocolError);
-    } else if let Some(items) = v.items() {
-        Objective::Lexicographic(
-            items
-                .map(|m| {
-                    m.as_str()
-                        .ok_or_else(|| bad("objective metrics must be strings"))?
-                        .parse::<Metric>()
-                        .map_err(ProtocolError)
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-        )
-    } else if v.is_obj() {
-        let terms = v
-            .get("scalarized")
-            .filter(|t| t.is_obj())
-            .ok_or_else(|| bad("objective object needs a 'scalarized' object"))?;
-        Objective::Scalarized(
-            terms
-                .fields()
-                .map(|(name, w)| {
-                    Ok((
-                        name.parse::<Metric>().map_err(ProtocolError)?,
-                        w.as_f64().ok_or_else(|| {
-                            bad(format!("objective weight for '{name}' must be a number"))
-                        })?,
-                    ))
-                })
-                .collect::<Result<Vec<_>, ProtocolError>>()?,
-        )
-    } else {
-        return Err(bad("'objective' must be a string, array or object"));
-    };
-    objective.validate().map_err(ProtocolError)?;
-    Ok(objective)
-}
-
-fn tune_request_from(v: Node<'_>) -> Result<TuneRequest, ProtocolError> {
-    let mut req = TuneRequest::default();
-    if let Some(space) = v.get("space") {
-        req.space = spec_from(space)?;
-    }
-    if let Some(mix) = v.get("mix") {
-        req.mix = mix_from(mix)?;
-    }
-    if let Some(budget) = v.get("budget") {
-        req.budget = budget_from(budget)?;
-    }
-    if let Some(objective) = v.get("objective") {
-        req.objective = objective_from(objective)?;
-    }
-    if let Some(strategy) = v.get("strategy") {
-        req.strategy = strategy
-            .as_str()
-            .ok_or_else(|| bad("'strategy' must be a string"))?
-            .parse::<StrategyKind>()
-            .map_err(ProtocolError)?;
-    }
-    req.seed = v
-        .get("seed")
-        .map_or(Some(0), Node::as_u64)
-        .ok_or_else(|| bad("'seed' must be a non-negative integer (below 2^53)"))?;
-    Ok(req)
-}
-
-/// A budget sweep is an `{"axis": ..., "values": [...]}` object or the
-/// CLI string form (`"max-mw=300..=900:50"`). Either way the sweep is
-/// validated (non-empty, strictly increasing, legal bounds).
-fn budget_sweep_from(v: Node<'_>) -> Result<BudgetSweep, ProtocolError> {
-    if let Some(text) = v.as_str() {
-        return BudgetSweep::parse(text).map_err(ProtocolError);
-    }
-    if !v.is_obj() {
-        return Err(bad("'sweep' must be an object or a string"));
-    }
-    let axis = v
-        .get("axis")
-        .and_then(Node::as_str)
-        .ok_or_else(|| bad("'sweep' needs a string 'axis'"))?
-        .parse::<BudgetAxis>()
-        .map_err(ProtocolError)?;
-    let values = list(v, "values", "'sweep' needs a 'values' array", |item| {
-        item.as_f64()
-            .ok_or_else(|| bad("'sweep' values must be numbers"))
-    })?;
-    let sweep = BudgetSweep { axis, values };
-    sweep.validate().map_err(ProtocolError)?;
-    Ok(sweep)
-}
-
-fn type_windows_from(v: Node<'_>) -> Result<Vec<HistoryTypeWindow>, ProtocolError> {
-    list(v, "types", "windowed reply needs a 'types' array", |t| {
-        let kind = required(t, "kind", "type window needs a string 'kind'")?;
-        take_type_window(
-            t,
-            HistoryTypeWindow {
-                kind,
-                ..HistoryTypeWindow::default()
-            },
-        )
-    })
-}
-
-fn span_from(trace_id: u64, v: Node<'_>) -> Result<SpanRecord, ProtocolError> {
-    Ok(SpanRecord {
-        trace_id,
-        span_id: required(v, "span", "span entry needs an integer 'span'")?,
-        parent_id: field(v, "parent", 0)?,
-        name: required(v, "name", "span entry needs a string 'name'")?,
-        start_us: field(v, "start_us", 0)?,
-        dur_us: field(v, "dur_us", 0)?,
-        worker: v
-            .get("worker")
-            .map(|w| {
-                w.as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| bad("span 'worker' must be a small integer"))
-            })
-            .transpose()?,
-        points: u32::try_from(field::<usize>(v, "points", 0)?)
-            .map_err(|_| bad("span 'points' out of range"))?,
-    })
-}
-
-fn metric_entry_from(v: Node<'_>) -> Result<MetricEntry, ProtocolError> {
-    let name = required(v, "name", "metric entry needs a string 'name'")?;
-    let labels = match v.get("labels") {
-        None => Vec::new(),
-        Some(pairs) if pairs.is_obj() => pairs
-            .fields()
-            .map(|(k, lv)| {
-                lv.as_str()
-                    .map(|s| (k.to_owned(), s.to_owned()))
-                    .ok_or_else(|| bad("metric labels must be strings"))
-            })
-            .collect::<Result<_, ProtocolError>>()?,
-        Some(_) => return Err(bad("'labels' must be an object")),
-    };
-    let kind = v
-        .get("kind")
-        .and_then(Node::as_str)
-        .ok_or_else(|| bad("metric entry needs a string 'kind'"))?;
-    let value = match kind {
-        "counter" => MetricValue::Counter(required(
-            v,
-            "value",
-            "counter metric needs an integer 'value'",
-        )?),
-        "gauge" => MetricValue::Gauge(field(v, "value", 0.0)?),
-        "histogram" => MetricValue::Histogram(HistogramSummary {
-            // Lenient, like the flags: a mistyped count reads as 0.
-            count: v.get("count").and_then(Node::as_u64).unwrap_or(0),
-            sum: v.get("sum").and_then(Node::as_u64).unwrap_or(0),
-            p50: field(v, "p50", 0.0)?,
-            p95: field(v, "p95", 0.0)?,
-            p99: field(v, "p99", 0.0)?,
-            max: field(v, "max", 0.0)?,
-        }),
-        other => return Err(bad(format!("unknown metric kind '{other}'"))),
-    };
-    Ok(MetricEntry {
-        name,
-        labels,
-        value,
-    })
-}
-
-impl Request {
-    /// Parses one request line, ignoring its envelope.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError`] on unparseable JSON, a missing/unknown
-    /// `"type"`, or mistyped fields.
-    pub fn decode(line: &str) -> Result<Request, ProtocolError> {
-        Request::from_node(parse(line)?.root())
-    }
-
-    /// Parses one request line together with its transport envelope:
-    /// the optional propagated `"trace"` context and the optional
-    /// pipelining id `"req"`. Both front ends' request handlers use this
-    /// so they can echo `"req"` on every reply line belonging to the
-    /// request (and the daemon can tag every span of it).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Request::decode`] rejects, plus a malformed
-    /// `"trace"` object (missing/zero `id`, mistyped fields) or a
-    /// non-integer `"req"`.
-    pub fn decode_with_meta(line: &str) -> Result<(Request, RequestMeta), ProtocolError> {
-        let doc = parse(line)?;
-        let meta = request_meta(doc.root())?;
-        Ok((Request::from_node(doc.root())?, meta))
-    }
-
-    fn from_node(v: Node<'_>) -> Result<Request, ProtocolError> {
-        let kind = v
-            .get("type")
-            .and_then(Node::as_str)
-            .ok_or_else(|| bad("request needs a string 'type'"))?;
-        Ok(match kind {
-            "eval" => Request::Eval(match v.get("point") {
-                None => DesignPoint::paper_alexnet(),
-                Some(p) => point_from(p)?,
-            }),
-            "eval_batch" => Request::EvalBatch(list(
-                v,
-                "points",
-                "eval_batch request needs a 'points' array",
-                point_from,
-            )?),
-            "sweep" => Request::Sweep(spec_from(
-                v.get("spec")
-                    .ok_or_else(|| bad("sweep request needs a 'spec' object"))?,
-            )?),
-            "tune" => Request::Tune(Box::new(tune_request_from(v)?)),
-            "tune_frontier" => {
-                let base = tune_request_from(v)?;
-                let sweep = v
-                    .get("sweep")
-                    .ok_or_else(|| bad("tune_frontier request needs a 'sweep'"))?;
-                Request::TuneFrontier(Box::new(FrontierTuneRequest {
-                    base,
-                    sweep: budget_sweep_from(sweep)?,
-                }))
-            }
-            "frontier" => {
-                let dims = field(v, "dims", 3usize)?;
-                if !(dims == 2 || dims == 3) {
-                    return Err(bad("'dims' must be 2 or 3"));
-                }
-                let sqnr = match v.get("axes").map(Node::as_str) {
-                    None | Some(Some("gates")) => false,
-                    Some(Some("sqnr")) => true,
-                    _ => return Err(bad("'axes' must be \"gates\" or \"sqnr\"")),
-                };
-                if sqnr && dims != 3 {
-                    return Err(bad("the sqnr frontier is 3-dimensional; use dims 3"));
-                }
-                let stream = v
-                    .get("stream")
-                    .map_or(Some(false), Node::as_bool)
-                    .ok_or_else(|| bad("'stream' must be a boolean"))?;
-                Request::Frontier {
-                    dims: dims as u8,
-                    sqnr,
-                    stream,
-                }
-            }
-            "stats" => Request::Stats,
-            "metrics" => Request::Metrics,
-            "metrics_history" => Request::MetricsHistory,
-            "watch" => Request::Watch {
-                samples: field(v, "samples", 0)?,
-            },
-            "trace_query" => Request::TraceQuery {
-                id: required(v, "id", "trace_query needs an integer 'id'")?,
-            },
-            "dump" => Request::Dump,
-            "shutdown" => Request::Shutdown,
-            other => return Err(bad(format!("unknown request type '{other}'"))),
-        })
-    }
-}
-
-impl Response {
     /// Parses one response line.
     ///
     /// # Errors
@@ -1831,223 +1645,17 @@ impl Response {
     /// `"req"`.
     pub fn decode_with_req(line: &str) -> Result<(Response, Option<u64>), ProtocolError> {
         let doc = parse(line)?;
-        let req = req_id(doc.root())?;
-        Ok((Response::from_node(doc.root())?, req))
-    }
-
-    fn from_node(v: Node<'_>) -> Result<Response, ProtocolError> {
-        let ok = v
-            .get("ok")
-            .and_then(Node::as_bool)
-            .ok_or_else(|| bad("response needs a boolean 'ok'"))?;
-        if !ok {
-            let message = v
+        let v = doc.root();
+        let req = v.get("req").map(|r| u64::take(r, "req")).transpose()?;
+        let head = if bool::take(present(v, "ok")?, "ok")? {
+            Ok(tag(v, "type")?)
+        } else {
+            Err(v
                 .get("error")
                 .and_then(Node::as_str)
-                .unwrap_or("unspecified");
-            if message == "busy" {
-                return Ok(Response::Busy {
-                    active: field(v, "active", 0)?,
-                    capacity: field(v, "capacity", 0)?,
-                });
-            }
-            return Ok(Response::Error {
-                message: message.to_owned(),
-            });
-        }
-        let kind = v
-            .get("type")
-            .and_then(Node::as_str)
-            .ok_or_else(|| bad("response needs a string 'type'"))?;
-        // Streamed kinds end with a `done` line; flags read leniently.
-        let done = || v.get("done").and_then(Node::as_bool) == Some(true);
-        Ok(match kind {
-            "eval" => {
-                let point = v
-                    .get("point")
-                    .ok_or_else(|| bad("eval response needs 'point'"))?;
-                Response::Eval {
-                    point: point_from(point)?,
-                    outcome: outcome_from(v)?,
-                }
-            }
-            "eval_batch" => Response::EvalBatch {
-                outcomes: list(
-                    v,
-                    "outcomes",
-                    "eval_batch response needs 'outcomes'",
-                    outcome_from,
-                )?,
-                cache_hits: field(v, "cache_hits", 0)?,
-                cache_misses: field(v, "cache_misses", 0)?,
-            },
-            "sweep" => {
-                let candidates = match v.get("candidates") {
-                    None => Vec::new(),
-                    Some(arr) => arr
-                        .items()
-                        .ok_or_else(|| bad("'candidates' must be an array"))?
-                        .map(|c| {
-                            Ok((
-                                required(c, "i", "candidate needs an integer 'i'")?,
-                                take_objectives(c, Objectives::default())?,
-                            ))
-                        })
-                        .collect::<Result<_, ProtocolError>>()?,
-                };
-                Response::Sweep(take_sweep(
-                    v,
-                    SweepSummary {
-                        candidates,
-                        degraded: field(v, "degraded", false)?,
-                        ..SweepSummary::default()
-                    },
-                )?)
-            }
-            "tune" => Response::Tune(take_tune_counts(
-                v,
-                TuneSummary {
-                    best: tuned_from(v)?,
-                    degraded: field(v, "degraded", false)?,
-                    ..TuneSummary::default()
-                },
-            )?),
-            "tune_frontier" if done() => {
-                Response::TuneFrontierDone(take_frontier_done(v, FrontierDoneSummary::default())?)
-            }
-            "tune_frontier" => {
-                // Required, not defaulted: a NaN budget would poison
-                // every PartialEq on the step downstream.
-                let budget_value = required(
-                    v,
-                    "budget_value",
-                    "tune_frontier step line needs a numeric 'budget_value'",
-                )?;
-                let result = take_step_counts(
-                    v,
-                    FrontierStep {
-                        budget_value,
-                        best: tuned_from(v)?,
-                        ..FrontierStep::default()
-                    },
-                )?;
-                Response::TuneFrontierStep(take_step_position(
-                    v,
-                    FrontierStepSummary {
-                        result,
-                        ..FrontierStepSummary::default()
-                    },
-                )?)
-            }
-            "frontier" if done() => Response::FrontierStreamDone {
-                dims: field(v, "dims", 3)?,
-                entries: field(v, "entries", 0)?,
-                degraded: field(v, "degraded", false)?,
-            },
-            "frontier" if field(v, "stream", false)? => Response::FrontierStreamEntry {
-                entry: entry_from(v, "frontier stream entry")?,
-            },
-            "frontier" => Response::Frontier {
-                dims: field(v, "dims", 3)?,
-                entries: list(v, "entries", "frontier response needs 'entries'", |e| {
-                    entry_from(e, "frontier entry")
-                })?,
-                degraded: field(v, "degraded", false)?,
-            },
-            "stats" => {
-                let shards = match v.get("shards") {
-                    None => Vec::new(),
-                    Some(arr) => arr
-                        .items()
-                        .ok_or_else(|| bad("'shards' must be an array"))?
-                        .map(|s| {
-                            Ok(ShardStat {
-                                addr: required(s, "addr", "shard stat needs a string 'addr'")?,
-                                requests: field(s, "requests", 0)?,
-                                errors: field(s, "errors", 0)?,
-                                degraded: field(s, "degraded", false)?,
-                            })
-                        })
-                        .collect::<Result<_, ProtocolError>>()?,
-                };
-                Response::Stats(take_stats(
-                    v,
-                    ServerStats {
-                        shards,
-                        ..ServerStats::default()
-                    },
-                )?)
-            }
-            "metrics" => Response::Metrics {
-                snapshot: Snapshot {
-                    entries: list(
-                        v,
-                        "metrics",
-                        "metrics response needs 'metrics'",
-                        metric_entry_from,
-                    )?,
-                    uptime_s: field(v, "uptime_s", 0.0)?,
-                },
-            },
-            "metrics_history" => {
-                let windows = list(
-                    v,
-                    "windows",
-                    "metrics_history response needs 'windows'",
-                    |w| {
-                        let types = type_windows_from(w)?;
-                        take_window(
-                            w,
-                            HistoryWindow {
-                                types,
-                                ..HistoryWindow::default()
-                            },
-                        )
-                    },
-                )?;
-                Response::MetricsHistory(Box::new(take_history(
-                    v,
-                    MetricsHistory {
-                        windows,
-                        ..MetricsHistory::default()
-                    },
-                )?))
-            }
-            "watch" if done() => Response::WatchDone {
-                samples: field(v, "samples", 0)?,
-            },
-            "watch" => {
-                // A sample line carries `seq`; the terminal line carries
-                // `done` — a line with neither is malformed.
-                let seq = required(v, "seq", "watch sample line needs an integer 'seq'")?;
-                let types = type_windows_from(v)?;
-                Response::WatchSample(Box::new(take_watch(
-                    v,
-                    WatchSample {
-                        seq,
-                        types,
-                        ..WatchSample::default()
-                    },
-                )?))
-            }
-            "trace" => {
-                let id = required(v, "id", "trace response needs an integer 'id'")?;
-                Response::Trace {
-                    id,
-                    dropped: field(v, "dropped", 0)?,
-                    spans: list(v, "spans", "trace response needs 'spans'", |s| {
-                        span_from(id, s)
-                    })?,
-                }
-            }
-            "dump" => Response::Dump {
-                path: required(v, "path", "dump response needs a string 'path'")?,
-                spans: field(v, "spans", 0)?,
-                dropped: field(v, "dropped", 0)?,
-            },
-            "shutdown" => Response::Shutdown,
-            other => return Err(bad(format!("unknown response type '{other}'"))),
-        })
+                .unwrap_or("unspecified"))
+        };
+        Ok((Response::from_head(v, head)?, req))
     }
 }
 

@@ -37,7 +37,7 @@ use chain_nn_tuner::{tune, BatchFnEvaluator, TuneError};
 use crate::front::{self, Front, LineSink, RequestOutcome, RoundResult};
 use crate::json::JsonWriter;
 use crate::protocol::{
-    FrontierEntry, HistoryTypeWindow, HistoryWindow, MetricsHistory, Request, Response,
+    FrontierEntry, HistoryTypeWindow, HistoryWindow, MetricsHistory, Record, Request, Response,
     ServerStats, SweepSummary, WatchSample,
 };
 use crate::slo::{SloSpec, SloTracker};
@@ -686,34 +686,7 @@ fn record_span(
             .inc();
     }
     let Some(trace) = &shared.trace else { return };
-    // Hand-rolled JSON: every field is a number or a static label, so
-    // no escaping is needed.
-    let mut line = format!(
-        concat!(
-            "{{\"id\":{},\"type\":\"{}\",\"status\":\"{}\",\"parse_us\":{},",
-            "\"queue_wait_us\":{},\"execute_us\":{},\"flush_us\":{},\"total_us\":{},",
-            "\"jobs\":{},\"points\":{},\"cache_hits\":{},\"cache_misses\":{}"
-        ),
-        span.id,
-        span.kind,
-        status,
-        span.parse.as_micros(),
-        span.queue_wait.as_micros(),
-        span.execute.as_micros(),
-        span.flush.as_micros(),
-        total.as_micros(),
-        span.jobs,
-        span.points,
-        span.cache_hits,
-        span.cache_misses,
-    );
-    if span.trace_id != 0 {
-        line.push_str(&format!(",\"trace\":{}", span.trace_id));
-    }
-    if slow {
-        line.push_str(",\"slow\":true");
-    }
-    line.push_str("}\n");
+    let line = trace_line(span, status, total, slow);
     if let Ok(mut sink) = trace.lock() {
         let _ = sink.append(&line);
     }
@@ -1232,6 +1205,32 @@ fn register_flight_recorder(path: PathBuf, shared: &Arc<Shared>) {
     });
 }
 
+/// One request's `--trace-log` line, newline included: its id, type
+/// and status, its phase timings in µs, its engine and cache counts,
+/// then `trace` and `slow` when they apply.
+fn trace_line(span: &RequestSpan, status: &str, total: Duration, slow: bool) -> String {
+    let us = |d: Duration| d.as_micros() as u64;
+    let mut line = String::new();
+    JsonWriter::new(&mut line).obj(|w| {
+        w.field("id", &span.id)
+            .field("type", span.kind)
+            .field("status", status)
+            .field("parse_us", &us(span.parse))
+            .field("queue_wait_us", &us(span.queue_wait))
+            .field("execute_us", &us(span.execute))
+            .field("flush_us", &us(span.flush))
+            .field("total_us", &us(total))
+            .field("jobs", &span.jobs)
+            .field("points", &span.points)
+            .field("cache_hits", &span.cache_hits)
+            .field("cache_misses", &span.cache_misses)
+            .field("trace", &(span.trace_id != 0).then_some(span.trace_id))
+            .field("slow", &slow.then_some(true));
+    });
+    line.push('\n');
+    line
+}
+
 /// Writes the flight file: `{"dropped":N,"spans":[...],"metrics":[...]}`
 /// — the span ring's recent contents (oldest first) plus a current
 /// metrics snapshot, so a postmortem sees both what the daemon was
@@ -1248,19 +1247,15 @@ fn write_flight_file(path: &Path, shared: &Arc<Shared>) -> std::io::Result<usize
         .merge(chain_nn_obs::global().snapshot());
     let mut text = String::new();
     JsonWriter::new(&mut text).obj(|w| {
-        w.field("dropped", spans.dropped()).key("spans").arr(|w| {
+        w.field("dropped", &spans.dropped()).key("spans").arr(|w| {
             for s in &records {
                 w.obj(|w| {
-                    w.field("trace", s.trace_id);
-                    crate::protocol::put_span(s, w);
+                    w.field("trace", &s.trace_id);
+                    s.put_members(w);
                 });
             }
         });
-        w.key("metrics").arr(|w| {
-            for entry in &snapshot.entries {
-                w.obj(|w| crate::protocol::put_metric_entry(entry, w));
-            }
-        });
+        w.field("metrics", &snapshot.entries);
     });
     text.push('\n');
     File::create(path)?.write_all(text.as_bytes())?;
@@ -1504,6 +1499,43 @@ mod tests {
             .snapshot()
             .counter("serve_requests_total", eval_labels)
             .is_none());
+    }
+
+    #[test]
+    fn trace_log_line_is_pinned_byte_for_byte() {
+        let mut span = RequestSpan {
+            id: 41,
+            kind: "sweep",
+            parse: Duration::from_nanos(12_900),
+            queue_wait: Duration::from_micros(250),
+            execute: Duration::from_millis(3),
+            flush: Duration::from_micros(7),
+            jobs: 2,
+            points: 576,
+            cache_hits: 500,
+            cache_misses: 76,
+            ..RequestSpan::default()
+        };
+        let total = Duration::from_micros(3_301);
+        assert_eq!(
+            trace_line(&span, "ok", total, false),
+            concat!(
+                r#"{"id":41,"type":"sweep","status":"ok","parse_us":12,"queue_wait_us":250,"#,
+                r#""execute_us":3000,"flush_us":7,"total_us":3301,"jobs":2,"points":576,"#,
+                r#""cache_hits":500,"cache_misses":76}"#,
+                "\n"
+            )
+        );
+        span.trace_id = 4242;
+        assert_eq!(
+            trace_line(&span, "busy", total, true),
+            concat!(
+                r#"{"id":41,"type":"sweep","status":"busy","parse_us":12,"queue_wait_us":250,"#,
+                r#""execute_us":3000,"flush_us":7,"total_us":3301,"jobs":2,"points":576,"#,
+                r#""cache_hits":500,"cache_misses":76,"trace":4242,"slow":true}"#,
+                "\n"
+            )
+        );
     }
 
     #[test]
