@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Non-test code lines per crate: for every `crates/<name>/src/*.rs`,
 # the lines before the file's first `#[cfg(test)]`, excluding blank
-# lines and `//` comment lines (`///` and `//!` docs included).
+# lines and every line that starts with `//`, so `///` and `//!` doc
+# comments are not counted either.
 # Subdirectories of `src/` (such as `bin/`) are not counted.
 #
 # Usage: scripts/loc.sh [crate ...]   (default: every crate)
