@@ -9,12 +9,15 @@
 //! successive processes) pay for each design point once, ever.
 //!
 //! * [`protocol`] — typed requests/responses and their wire encoding
-//!   (`eval`, `sweep`, `tune`, `tune_frontier`, `frontier`, `stats`,
-//!   `metrics`, `metrics_history`, `watch`, `shutdown`), shared by
-//!   daemon and client so the two cannot drift. `tune_frontier`,
-//!   `frontier` with `"stream":true` and `watch` are **streaming**
-//!   requests: N result lines, flushed as each is produced, then one
-//!   `done` line (`docs/PROTOCOL.md` states the framing rule).
+//!   (`eval`, `eval_batch`, `sweep`, `tune`, `tune_frontier`,
+//!   `frontier`, `stats`, `metrics`, `metrics_history`, `watch`,
+//!   `trace_query`, `dump`, `shutdown`), shared by daemon and client so
+//!   the two cannot drift. Each record and each message enum is one
+//!   table that generates both its encoder and its decoder.
+//!   `tune_frontier`, `frontier` with `"stream":true` and `watch` are
+//!   **streaming** requests: N result lines, flushed as each is
+//!   produced, then one `done` line (`docs/PROTOCOL.md` states the
+//!   framing rule).
 //! * [`slo`] — latency service-level objectives (`eval:p99_us=500`)
 //!   evaluated every sampler tick over the trailing 10 s window, with
 //!   per-SLO compliance and error-budget gauges in the registry.
@@ -42,8 +45,9 @@
 //!   and the coordinator differ only in the per-request handler.
 //! * [`client`] — blocking client used by `chain-nn query` and tests.
 //! * [`json`] — the dependency-free codec both sides share: `JsonWriter`
-//!   encodes a line into one reused buffer, and the [`json::Doc`] token
-//!   tape parses a line without building a tree.
+//!   encodes a line into one reused buffer, the [`json::Doc`] token
+//!   tape parses a line without building a tree, and the `Wire` trait
+//!   gives scalars, lists and optional values both directions.
 //!
 //! # Example
 //!
