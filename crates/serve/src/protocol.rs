@@ -1480,6 +1480,7 @@ wire_enum! {
     type "metrics_history" => MetricsHistory(history) [..history],
     type "watch" if "done" => WatchDone { samples = 0 } ["samples" => samples],
     type "watch" => WatchSample(sample) [..sample],
+    // `spans` starts typed, as the `then` block walks it.
     type "trace" => Trace { id, dropped = 0, spans = Vec::<SpanRecord>::new() } [
         "id" => id required,
         "dropped" => dropped,
