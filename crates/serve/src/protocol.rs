@@ -620,6 +620,9 @@ impl Plain {
 /// - `"key" => place required`: absent is an error too.
 /// - `"key" => place if_set`: left off the wire while the place holds
 ///   its `Default`.
+/// - `"key" => place ... = value`: absent on decode, the place is set to
+///   `value`, which is only built then (a variant's bindings start
+///   unset).
 /// - `"key": Codec => place ...`: written and read by `Codec::put` and
 ///   `Codec::take` instead of the field's own [`Wire`] form.
 /// - `"key" => method()`: derived from the value; encode only.
@@ -644,7 +647,7 @@ macro_rules! members {
         members!(put $w [$($at)*] $($($rest)*)?);
     };
     (put $w:ident [$($at:tt)*]
-        $key:literal $(: $codec:ident)? => $f:tt $($mark:ident)? $(, $($rest:tt)*)?
+        $key:literal $(: $codec:ident)? => $f:tt $($mark:ident)? $(= $default:expr)? $(, $($rest:tt)*)?
     ) => {
         members!(@put $w $key [$($codec)? Plain] $($at)*$f $(, $mark)?);
         members!(put $w [$($at)*] $($($rest)*)?);
@@ -689,12 +692,18 @@ macro_rules! members {
         members!(@take $v $at $slots $n $arms $reads $($($rest)*)?);
     };
     (@take $v:ident [$($at:tt)*] $slots:ident [$($n:tt)*] [$($arms:tt)*] [$($reads:tt)*]
-        $key:literal $(: $codec:ident)? => $f:tt $($mark:ident)? $(, $($rest:tt)*)?
+        $key:literal $(: $codec:ident)? => $f:tt $($mark:ident)? $(= $default:expr)? $(, $($rest:tt)*)?
     ) => {
         members!(@take $v [$($at)*] $slots [$($n)* +1] [$($arms)* $key => 0 $($n)*,] [
             $($reads)*
-            members!(@read ($slots[0 $($n)*]) $key [$($codec)? Plain] $($at)*$f $(, $mark)?);
+            members!(@read ($slots[0 $($n)*]) $key [$($codec)? Plain] $($at)*$f $(, $mark)? $(; $default)?);
         ] $($($rest)*)?);
+    };
+    (@read $node:tt $key:literal [$codec:ident $($plain:ident)?] $p:expr $(, $mark:ident)?; $default:expr) => {
+        $p = match $node {
+            Some(node) => $codec::take(node, $key)?,
+            None => $default,
+        };
     };
     (@read $node:tt $key:literal [$codec:ident $($plain:ident)?] $p:expr, required) => {
         $p = $codec::take($node.ok_or_else(|| missing($key))?, $key)?;
@@ -746,10 +755,10 @@ macro_rules! wire_record {
 /// of its line (`type "tag"` on a success line; `error "tag"`, or
 /// `error binding` for the line's own message, on a failure line), an
 /// optional `if "flag"` for a variant told apart from others of its tag
-/// by `"flag":true` (written first), the variant with its bindings and
-/// the values they hold when their member is absent, its members in
-/// brackets (see `members!`), and an optional `then` block that checks
-/// or completes the decoded bindings. A flagged variant comes before
+/// by `"flag":true` (written first), the variant with its bindings
+/// (unset until a member reads them, unless given `= value`), its
+/// members in brackets (see `members!`), and an optional `then` block
+/// that checks or completes the decoded bindings. A flagged variant comes before
 /// the others of its tag. Expands to `put_body` and `from_head`, plus
 /// `TYPES` and `kind` (`types`) or `head` (`head`).
 macro_rules! wire_enum {
@@ -1426,15 +1435,15 @@ impl FrontierAxes {
 
 wire_enum! {
     Request, "request", types;
-    type "eval" => Eval(point = DesignPoint::paper_alexnet()) ["point" => point],
+    type "eval" => Eval(point) ["point" => point = DesignPoint::paper_alexnet()],
     type "eval_batch" => EvalBatch(points) ["points" => points required],
     type "sweep" => Sweep(spec) ["spec" => spec required],
     type "tune" => Tune(request) [..request],
     type "tune_frontier" => TuneFrontier(request) [..request],
-    type "frontier" => Frontier { dims = 3, sqnr = false, stream = false } [
-        "dims" => dims,
-        "axes": FrontierAxes => sqnr,
-        "stream" => stream if_set,
+    type "frontier" => Frontier { dims, sqnr, stream } [
+        "dims" => dims = 3,
+        "axes": FrontierAxes => sqnr = false,
+        "stream" => stream if_set = false,
     ] then {
         if !(dims == 2 || dims == 3) {
             return Err(bad("'dims' must be 2 or 3"));
@@ -1446,7 +1455,7 @@ wire_enum! {
     type "stats" => Stats [],
     type "metrics" => Metrics [],
     type "metrics_history" => MetricsHistory [],
-    type "watch" => Watch { samples = 0 } ["samples" => samples],
+    type "watch" => Watch { samples } ["samples" => samples = 0],
     type "trace_query" => TraceQuery { id } ["id" => id required],
     type "dump" => Dump [],
     type "shutdown" => Shutdown [],
@@ -1455,35 +1464,35 @@ wire_enum! {
 wire_enum! {
     Response, "response", head;
     type "eval" => Eval { point, outcome } ["point" => point required, ..outcome],
-    type "eval_batch" => EvalBatch { outcomes, cache_hits = 0, cache_misses = 0 } [
-        "cache_hits" => cache_hits,
-        "cache_misses" => cache_misses,
+    type "eval_batch" => EvalBatch { outcomes, cache_hits, cache_misses } [
+        "cache_hits" => cache_hits = 0,
+        "cache_misses" => cache_misses = 0,
         "outcomes" => outcomes required,
     ],
     type "sweep" => Sweep(summary) [..summary],
     type "tune" => Tune(summary) [..summary],
     type "tune_frontier" if "done" => TuneFrontierDone(summary) [..summary],
     type "tune_frontier" => TuneFrontierStep(summary) [..summary],
-    type "frontier" if "done" => FrontierStreamDone { dims = 3, entries = 0, degraded = false } [
-        "dims" => dims,
-        "entries" => entries,
-        "degraded" => degraded if_set,
+    type "frontier" if "done" => FrontierStreamDone { dims, entries, degraded } [
+        "dims" => dims = 3,
+        "entries" => entries = 0,
+        "degraded" => degraded if_set = false,
     ],
     type "frontier" if "stream" => FrontierStreamEntry { entry } [..entry],
-    type "frontier" => Frontier { dims = 3, entries, degraded = false } [
-        "dims" => dims,
+    type "frontier" => Frontier { dims, entries, degraded } [
+        "dims" => dims = 3,
         "entries" => entries required,
-        "degraded" => degraded if_set,
+        "degraded" => degraded if_set = false,
     ],
     type "stats" => Stats(stats) [..stats],
     type "metrics" => Metrics { snapshot } [..snapshot],
     type "metrics_history" => MetricsHistory(history) [..history],
-    type "watch" if "done" => WatchDone { samples = 0 } ["samples" => samples],
+    type "watch" if "done" => WatchDone { samples } ["samples" => samples = 0],
     type "watch" => WatchSample(sample) [..sample],
     // `spans` starts typed, as the `then` block walks it.
-    type "trace" => Trace { id, dropped = 0, spans = Vec::<SpanRecord>::new() } [
+    type "trace" => Trace { id, dropped, spans = Vec::<SpanRecord>::new() } [
         "id" => id required,
-        "dropped" => dropped,
+        "dropped" => dropped = 0,
         "spans" => spans required,
     ] then {
         // The reply states its trace id once, for every span.
@@ -1491,15 +1500,15 @@ wire_enum! {
             span.trace_id = id;
         }
     },
-    type "dump" => Dump { path, spans = 0, dropped = 0 } [
+    type "dump" => Dump { path, spans, dropped } [
         "path" => path required,
-        "spans" => spans,
-        "dropped" => dropped,
+        "spans" => spans = 0,
+        "dropped" => dropped = 0,
     ],
     type "shutdown" => Shutdown [],
-    error "busy" => Busy { active = 0, capacity = 0 } [
-        "active" => active,
-        "capacity" => capacity,
+    error "busy" => Busy { active, capacity } [
+        "active" => active = 0,
+        "capacity" => capacity = 0,
     ],
     error message => Error { message = message.to_owned() } [],
 }
